@@ -6,11 +6,12 @@
 // gracefully.
 //
 // The exhibit to notice: the server's stats report far fewer store
-// flushes than operations. Pipelined requests accumulate per
-// connection and flush through the batch APIs in MaxBatch-bounded
-// critical sections, so a burst of N ops costs ceil(N/MaxBatch) shard
-// acquisitions — the same amortization kvbench's -batch tables
-// measure, now arriving over a socket.
+// flushes than operations. Pipelined requests, verbs mixed, collect
+// per connection into one ordered op list that flushes through one
+// Store.Apply call in MaxBatch-bounded critical sections, so a burst
+// of N ops costs ceil(N/MaxBatch) shard acquisitions — the same
+// amortization kvbench's -batch tables measure, now arriving over a
+// socket.
 //
 // Run with:
 //

@@ -56,4 +56,54 @@ func TestHotPathAllocationFree(t *testing.T) {
 	if n := testing.AllocsPerRun(2000, func() { p.RandN(1000) }); n > 0 {
 		t.Errorf("RandN: %.3f allocs/op, want 0", n)
 	}
+
+	// The batch APIs on a multi-shard store, under a direct lock and
+	// under a combining executor: shard grouping runs in per-proc
+	// scratch and executor chunks post prebuilt closures, so neither
+	// path allocates per call.
+	for _, lock := range []string{"c-bo-mcs", "comb-a-c-bo-mcs"} {
+		src, err := kvstore.FromRegistry(topo, lock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := kvstore.New(kvstore.Config{Topo: topo, Locking: src, Shards: 8, Buckets: 1 << 12, Capacity: 1 << 10})
+		const n = 32
+		keys := make([]uint64, n)
+		vals := make([][]byte, n)
+		dsts := make([][]byte, n)
+		lens := make([]int, n)
+		found := make([]bool, n)
+		ops := make([]kvstore.Op, n)
+		for i := range keys {
+			vals[i] = val[:sizes[i%len(sizes)]]
+			dsts[i] = make([]byte, 512)
+		}
+		round := uint64(0)
+		fill := func() {
+			round++
+			for i := range keys {
+				// A keyspace twice the capacity keeps evictions going.
+				keys[i] = (round*n + uint64(i)) % 2048
+				ops[i] = kvstore.Op{Kind: kvstore.OpKind(i % 3), Key: keys[i], Val: dsts[i]}
+				if ops[i].Kind == kvstore.OpSet {
+					ops[i].Val = vals[i]
+				}
+			}
+		}
+		for i := 0; i < 200; i++ { // ratchet scratch and value caps
+			fill()
+			s.MSet(p, keys, vals)
+			s.MGet(p, keys, dsts, lens, found)
+			s.Apply(p, ops)
+		}
+		if n := testing.AllocsPerRun(500, func() { fill(); s.MSet(p, keys, vals) }); n > 0 {
+			t.Errorf("%s MSet: %.3f allocs/call, want 0", lock, n)
+		}
+		if n := testing.AllocsPerRun(500, func() { fill(); s.MGet(p, keys, dsts, lens, found) }); n > 0 {
+			t.Errorf("%s MGet: %.3f allocs/call, want 0", lock, n)
+		}
+		if n := testing.AllocsPerRun(500, func() { fill(); s.Apply(p, ops) }); n > 0 {
+			t.Errorf("%s Apply: %.3f allocs/call, want 0", lock, n)
+		}
+	}
 }

@@ -32,19 +32,21 @@
 // A single-shard Store routes every key to its one shard and behaves
 // exactly like the pre-sharding store.
 //
-// Beyond one-operation-per-acquisition, the store batches: the
-// MGet/MSet/MDelete APIs group keys by shard and run each shard's
-// group in critical sections of up to Config.MaxBatch operations, so
-// N same-shard operations cost ceil(N/MaxBatch) acquisitions instead
-// of N. Orthogonally, Config.NewExec replaces each shard's direct
-// locking with a delegated-execution seam (locks.Executor): every
-// critical section is posted as a closure to a combining executor,
-// whose combiner runs same-cluster batches — across requesting procs
-// — under a single acquisition of the underlying lock. That is the
-// flat-combining amortization the paper credits FC-MCS with (§4.1.3),
-// applied to the store's own critical sections rather than to queue
-// hand-offs. Configurations without NewExec keep the direct locking
-// paths untouched, so Table 1 numbers are unaffected.
+// Beyond one-operation-per-acquisition, the store batches: Apply
+// takes a list of flat op records, verbs mixed, groups them by shard
+// and runs each shard's group in caller order in critical sections of
+// up to Config.MaxBatch operations, so N same-shard operations cost
+// ceil(N/MaxBatch) acquisitions instead of N; MGet/MSet/MDelete are
+// Apply over one verb. Orthogonally, Config.NewExec replaces each
+// shard's direct locking with a delegated-execution seam
+// (locks.Executor): every critical section is posted as a closure to
+// a combining executor, whose combiner runs same-cluster batches —
+// across requesting procs — under a single acquisition of the
+// underlying lock. That is the flat-combining amortization the paper
+// credits FC-MCS with (§4.1.3), applied to the store's own critical
+// sections rather than to queue hand-offs. Configurations without
+// NewExec keep the direct locking paths untouched, so Table 1 numbers
+// are unaffected.
 //
 // The cache lock itself is reader-writer shaped (locks.RWMutex): Sets
 // and Deletes take exclusive mode, and when the configured lock's
@@ -78,7 +80,6 @@ package kvstore
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/alloc"
 	"repro/internal/cachesim"
@@ -259,7 +260,7 @@ type Config struct {
 	// Deprecated: set Locking to FromExec(f) instead.
 	NewExec func() locks.Executor
 	// MaxBatch bounds how many operations of a batch API call
-	// (MGet/MSet/MDelete) run inside one critical section, capping
+	// (Apply, MGet/MSet/MDelete) run inside one critical section, capping
 	// lock hold times: a shard group of N operations takes
 	// ceil(N/MaxBatch) acquisitions instead of N. Default 64.
 	// Single-operation calls are unaffected.
@@ -392,11 +393,8 @@ type Store struct {
 	shards    []*Shard
 	homes     []int   // shard index -> home cluster
 	groups    [][]int // cluster -> indices of shards homed there
-	// identity caches 0..n-1 for single-shard batch routing, so the
-	// steady-state batched pipeline allocates nothing per call. The
-	// published slice is immutable (contents are fixed by position);
-	// racing growers just waste one allocation.
-	identity atomic.Pointer[[]int]
+	// scratch is the batch APIs' per-proc routing state (see Apply).
+	scratch []procScratch
 }
 
 // New builds a store; it panics on invalid configuration (programmer
@@ -441,6 +439,11 @@ func New(cfg Config) *Store {
 		shards:    make([]*Shard, cfg.Shards),
 		homes:     make([]int, cfg.Shards),
 		groups:    make([][]int, cfg.Topo.Clusters()),
+		scratch:   make([]procScratch, cfg.Topo.MaxProcs()),
+	}
+	for i := range s.scratch {
+		s.scratch[i].start = make([]int, cfg.Shards+1)
+		s.scratch[i].next = make([]int, cfg.Shards)
 	}
 	for i := range s.shards {
 		sc := shardConfig{
@@ -515,121 +518,6 @@ func (s *Store) Set(p *numa.Proc, key uint64, val []byte) {
 // was present.
 func (s *Store) Delete(p *numa.Proc, key uint64) bool {
 	return s.shardFor(p, key).Delete(p, key)
-}
-
-// identityIdx returns a shared read-only index slice [0,1,...,n-1].
-func (s *Store) identityIdx(n int) []int {
-	if p := s.identity.Load(); p != nil && len(*p) >= n {
-		return (*p)[:n]
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	s.identity.Store(&idx)
-	return idx
-}
-
-// groupByShard partitions the indices of keys by target shard under
-// the store's placement, preserving caller order within each group.
-// Every index lands in exactly one group — the routing-completeness
-// the batch APIs rely on. Single-shard stores route through the
-// cached identity index (no per-call allocation); the multi-shard
-// grouping allocates per call, a cost paid equally by every lock
-// configuration.
-func (s *Store) groupByShard(p *numa.Proc, keys []uint64) [][]int {
-	groups := make([][]int, len(s.shards))
-	for i, k := range keys {
-		si := s.shardIndex(p, k)
-		groups[si] = append(groups[si], i)
-	}
-	return groups
-}
-
-// MGet looks up every key, copying values into the matching dsts
-// buffer (dsts may be nil to probe without copying) and reporting
-// per-key copy lengths and presence in lens and found. Keys are
-// grouped by shard and each shard's group runs in critical sections
-// of at most Config.MaxBatch lookups — one lock acquisition (or one
-// combined closure, under a comb-* executor) answers a whole chunk,
-// instead of one per key as repeated Get calls would pay. Results are
-// written at the same index as the key; every key is answered exactly
-// once. Per-key semantics match Get under the same lock: on an
-// exclusive lock a hit pays the item touch and LRU bump inside the
-// critical section; under a genuine reader-writer lock each chunk runs
-// in SHARED mode — one RLock answers the whole chunk, concurrent with
-// other readers' chunks — and LRU recency follows the TouchEvery
-// sampling policy with the sampled bumps deferred to one exclusive
-// section per shard group.
-func (s *Store) MGet(p *numa.Proc, keys []uint64, dsts [][]byte, lens []int, found []bool) {
-	if dsts != nil && len(dsts) != len(keys) {
-		panic(fmt.Sprintf("kvstore: MGet with %d dsts for %d keys", len(dsts), len(keys)))
-	}
-	if len(lens) != len(keys) || len(found) != len(keys) {
-		panic(fmt.Sprintf("kvstore: MGet with %d lens / %d found for %d keys", len(lens), len(found), len(keys)))
-	}
-	if len(s.shards) == 1 {
-		s.shards[0].mget(p, keys, dsts, lens, found, s.identityIdx(len(keys)))
-		return
-	}
-	for si, idx := range s.groupByShard(p, keys) {
-		if len(idx) > 0 {
-			s.shards[si].mget(p, keys, dsts, lens, found, idx)
-		}
-	}
-}
-
-// MSet inserts or updates every key with a copy of the matching vals
-// entry, grouping by shard exactly as MGet does: each shard's group
-// runs in critical sections of at most Config.MaxBatch sets, so N
-// same-shard keys cost ceil(N/MaxBatch) acquisitions instead of N.
-// Caller order is preserved within a shard, so duplicate keys resolve
-// last-wins like sequential Sets; keys on different shards apply in
-// shard order, indistinguishable to readers since cross-shard Sets
-// were never atomic to begin with.
-func (s *Store) MSet(p *numa.Proc, keys []uint64, vals [][]byte) {
-	if len(vals) != len(keys) {
-		panic(fmt.Sprintf("kvstore: MSet with %d vals for %d keys", len(vals), len(keys)))
-	}
-	if len(s.shards) == 1 {
-		s.shards[0].mset(p, keys, vals, s.identityIdx(len(keys)))
-		return
-	}
-	for si, idx := range s.groupByShard(p, keys) {
-		if len(idx) > 0 {
-			s.shards[si].mset(p, keys, vals, idx)
-		}
-	}
-}
-
-// MDelete removes every key, batched like MSet, and reports how many
-// were present.
-func (s *Store) MDelete(p *numa.Proc, keys []uint64) int {
-	return s.mdelete(p, keys, nil)
-}
-
-// MDeleteEach removes every key like MDelete and additionally reports
-// per-key presence in found (written at the same index as the key) —
-// the answer a wire protocol needs to say DELETED or NOT_FOUND per
-// operation while still paying ceil(N/MaxBatch) acquisitions.
-func (s *Store) MDeleteEach(p *numa.Proc, keys []uint64, found []bool) int {
-	if len(found) != len(keys) {
-		panic(fmt.Sprintf("kvstore: MDeleteEach with %d found for %d keys", len(found), len(keys)))
-	}
-	return s.mdelete(p, keys, found)
-}
-
-func (s *Store) mdelete(p *numa.Proc, keys []uint64, found []bool) int {
-	if len(s.shards) == 1 {
-		return s.shards[0].mdelete(p, keys, s.identityIdx(len(keys)), found)
-	}
-	n := 0
-	for si, idx := range s.groupByShard(p, keys) {
-		if len(idx) > 0 {
-			n += s.shards[si].mdelete(p, keys, idx, found)
-		}
-	}
-	return n
 }
 
 // Len reports the item count summed over all shards (takes each shard

@@ -55,7 +55,10 @@ type opSlot struct {
 	// spills counts sets this proc spilled to the GC heap because the
 	// shard's arena was exhausted (ValueArena only).
 	spills uint64
-	_      numa.Pad
+	// touch collects the keys a shared-mode batch sampled for a
+	// deferred LRU refresh (see Shard.apply); reused across calls.
+	touch []uint64
+	_     numa.Pad
 }
 
 // shardConfig carries the per-shard slice of a Store's Config, already
@@ -139,6 +142,9 @@ type Shard struct {
 	// homed on one cluster: value blocks recycle cluster-locally, the
 	// paper's Table 2 effect applied to the data plane.
 	arena *alloc.Allocator
+	// recs holds each proc's argument record for the prebuilt closure
+	// the batch path posts to exec (see execRec); nil without exec.
+	recs []execRec
 	// pendingFree batches explicit frees (overwrite, eviction, delete)
 	// so splay-tree reinsertion is paid once per maxBatch frees instead
 	// of once per mutation — reclamation amortized like LRU touches.
@@ -172,6 +178,13 @@ func newShard(cfg shardConfig) *Shard {
 		slots:       make([]opSlot, cfg.topo.MaxProcs()),
 		itemLocal:   cfg.itemLocal,
 		itemRemote:  cfg.itemRemote,
+	}
+	if cfg.exec != nil {
+		s.recs = make([]execRec, cfg.topo.MaxProcs())
+		for i := range s.recs {
+			r := &s.recs[i]
+			r.run = func() { s.runRec(r) }
+		}
 	}
 	if cfg.compactIndex {
 		s.compact = newCompactShard(cfg.buckets)
@@ -699,7 +712,8 @@ func (s *Shard) arenaCheck(p *numa.Proc) error {
 
 // runBatch runs fn as one exclusive critical section: one posted
 // closure under the executor seam, or one acquisition of the shard
-// lock. The batch APIs feed it chunks of up to maxBatch operations.
+// lock. Only the maintenance paths (Len, flushArena) use it; the batch
+// APIs post prebuilt closures instead (see Shard.apply).
 func (s *Shard) runBatch(p *numa.Proc, fn func()) {
 	if s.exec != nil {
 		s.exec.Exec(p, fn)
@@ -708,160 +722,6 @@ func (s *Shard) runBatch(p *numa.Proc, fn func()) {
 	s.lock.Lock(p)
 	fn()
 	s.lock.Unlock(p)
-}
-
-// mget answers the group's lookups (idx indexes keys) in critical
-// sections of at most maxBatch operations each. dsts may be nil to
-// probe without copying; lens and found are written at the same
-// indices as keys. Shards whose reads genuinely share — a reader-
-// writer shard lock, or a read-combining executor seam — route
-// through mgetShared, whole chunks answered under one shared
-// acquisition (or one posted shared closure); exclusive-lock and
-// exclusive-executor shards keep this exclusive path unchanged.
-func (s *Shard) mget(p *numa.Proc, keys []uint64, dsts [][]byte, lens []int, found []bool, idx []int) {
-	if s.sharedReads {
-		s.mgetShared(p, keys, dsts, lens, found, idx)
-		return
-	}
-	slot := &s.slots[p.ID()]
-	for start := 0; start < len(idx); start += s.maxBatch {
-		chunk := idx[start:min(start+s.maxBatch, len(idx))]
-		s.runBatch(p, func() {
-			for _, i := range chunk {
-				var dst []byte
-				if dsts != nil {
-					dst = dsts[i]
-				}
-				lens[i], found[i] = s.applyGet(p, keys[i], dst)
-			}
-		})
-		for _, i := range chunk {
-			slot.gets++
-			if found[i] {
-				slot.hits++
-			} else {
-				slot.misses++
-			}
-		}
-	}
-}
-
-// mgetShared is the shared-mode group read path, composing the RW read
-// protocol with the batch APIs: each chunk of up to maxBatch lookups
-// runs under ONE shared acquisition — concurrent readers' chunks on
-// different clusters proceed together, and a group of N lookups costs
-// ceil(N/maxBatch) RLock acquisitions. On the read-combining executor
-// seam each chunk is instead a posted shared closure: concurrent
-// same-cluster readers' chunks are harvested by one reader-combiner
-// and run under a single RLock, pushing shared acquisitions per read
-// op below even the ceil(N/maxBatch) floor. Per-key semantics match
-// the shared-mode Get: the hash walk and value copy only read item
-// state (writers hold exclusive mode, so nothing mutates under the
-// chunk), and the LRU bump follows the same touch-every-Nth-hit
-// sampling — sampled keys accumulate across the group and are
-// refreshed in one deferred exclusive section at the end, so recency
-// maintenance costs at most one extra acquisition per group instead of
-// one per sampled hit. Statistics stay per-proc, outside the lock,
-// counted once per operation exactly as the exclusive path counts
-// them.
-func (s *Shard) mgetShared(p *numa.Proc, keys []uint64, dsts [][]byte, lens []int, found []bool, idx []int) {
-	slot := &s.slots[p.ID()]
-	var touch []uint64 // keys sampled for a deferred LRU refresh
-	for start := 0; start < len(idx); start += s.maxBatch {
-		chunk := idx[start:min(start+s.maxBatch, len(idx))]
-		if s.rwexec != nil {
-			s.rwexec.ExecShared(p, func() {
-				for _, i := range chunk {
-					var dst []byte
-					if dsts != nil {
-						dst = dsts[i]
-					}
-					lens[i], found[i] = s.readValue(keys[i], dst)
-				}
-			})
-		} else {
-			s.lock.RLock(p)
-			for _, i := range chunk {
-				var dst []byte
-				if dsts != nil {
-					dst = dsts[i]
-				}
-				lens[i], found[i] = s.readValue(keys[i], dst)
-			}
-			s.lock.RUnlock(p)
-		}
-		for _, i := range chunk {
-			slot.gets++
-			if found[i] {
-				slot.hits++
-				slot.sinceTouch++
-				if slot.sinceTouch >= s.touchEvery {
-					slot.sinceTouch = 0
-					touch = append(touch, keys[i])
-				}
-			} else {
-				slot.misses++
-			}
-		}
-	}
-	if len(touch) > 0 {
-		// Re-find under exclusive mode: an item may have been evicted
-		// or deleted between the shared chunk and this upgrade.
-		if s.rwexec != nil {
-			s.exec.Exec(p, func() {
-				for _, k := range touch {
-					s.touchKey(p, k)
-				}
-			})
-		} else {
-			s.lock.Lock(p)
-			for _, k := range touch {
-				s.touchKey(p, k)
-			}
-			s.lock.Unlock(p)
-		}
-	}
-}
-
-// mset applies the group's sets (idx indexes keys/vals) in critical
-// sections of at most maxBatch operations each, preserving the
-// caller's order within the group — duplicate keys resolve last-wins,
-// exactly as the sequential calls would.
-func (s *Shard) mset(p *numa.Proc, keys []uint64, vals [][]byte, idx []int) {
-	slot := &s.slots[p.ID()]
-	for start := 0; start < len(idx); start += s.maxBatch {
-		chunk := idx[start:min(start+s.maxBatch, len(idx))]
-		s.runBatch(p, func() {
-			for _, i := range chunk {
-				s.applySet(p, keys[i], vals[i])
-			}
-		})
-		slot.sets += uint64(len(chunk))
-	}
-}
-
-// mdelete removes the group's keys in critical sections of at most
-// maxBatch operations each, returning how many were present. When
-// found is non-nil, per-key presence is written at the same index as
-// the key (the per-op answer a wire protocol's DELETED/NOT_FOUND
-// responses need).
-func (s *Shard) mdelete(p *numa.Proc, keys []uint64, idx []int, found []bool) int {
-	n := 0
-	for start := 0; start < len(idx); start += s.maxBatch {
-		chunk := idx[start:min(start+s.maxBatch, len(idx))]
-		s.runBatch(p, func() {
-			for _, i := range chunk {
-				ok := s.applyDelete(p, keys[i])
-				if ok {
-					n++
-				}
-				if found != nil {
-					found[i] = ok
-				}
-			}
-		})
-	}
-	return n
 }
 
 // Len reports the current item count (one critical section).

@@ -118,9 +118,12 @@ func TestSharedMGetPerShardGroups(t *testing.T) {
 
 	// Compute the exact expectation from the store's own routing.
 	want := uint64(0)
-	groups := s.groupByShard(p, keys)
+	groups := make([]int, s.NumShards())
+	for _, k := range keys {
+		groups[s.shardIndex(p, k)]++
+	}
 	for _, g := range groups {
-		want += uint64((len(g) + batch - 1) / batch)
+		want += uint64((g + batch - 1) / batch)
 	}
 	if got != want {
 		t.Errorf("sharded shared MGet took %d RLock acquisitions, want %d (sum of per-group ceilings)", got, want)

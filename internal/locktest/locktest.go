@@ -5,6 +5,7 @@
 package locktest
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,17 +39,59 @@ type shared struct {
 	a, b       int64
 }
 
-// enter performs one guarded critical section.
+// enter performs one guarded critical section. Between the paired
+// updates it dwells, so a second holder or a reader has a real window
+// in which to see the pair torn: a pseudo-random spin of up to 63
+// pause iterations, and on one section in 64 a yield. The yield is
+// what makes the check independent of scheduling luck: two workers may
+// never run truly in parallel (both processors busy with writers, or
+// one processor), but a worker descheduled mid-section hands its
+// processor to a runnable peer, which a non-excluding lock lets in.
 func (s *shared) enter() {
 	if s.inCS.Add(1) != 1 {
 		s.violations.Add(1)
 	}
 	s.a++
+	if d := int(uint64(s.a) * 0x9E3779B97F4A7C15 >> 58); d == 0 {
+		runtime.Gosched()
+	} else {
+		spin.Pause(d)
+	}
 	if s.a != s.b+1 {
 		s.violations.Add(1)
 	}
 	s.b++
 	s.inCS.Add(-1)
+}
+
+// startGate is a start barrier: every worker arrives, then all
+// proceed together. Without it the first goroutines spawned can retire
+// their whole quota before the last ones are even scheduled, and a
+// broken lock passes for want of any overlap.
+type startGate struct {
+	n       int32
+	arrived atomic.Int32
+}
+
+func newStartGate(workers int) *startGate { return &startGate{n: int32(workers)} }
+
+// wait blocks the calling worker until all n workers have arrived.
+func (g *startGate) wait() {
+	g.arrived.Add(1)
+	for i := 0; g.arrived.Load() < g.n; i++ {
+		spin.Poll(i)
+	}
+}
+
+// readerPace hands the processor around every 64th read when workers
+// outnumber processors. Readers never block, so without it a reader
+// keeps its processor for a whole scheduler time slice each time a
+// writer yields inside its section (see shared.enter), and the
+// writers' quota drags on for seconds.
+func readerPace(k int) {
+	if k%64 == 63 {
+		spin.Yield()
+	}
 }
 
 // harnessDeadline bounds every quota-based harness run: a lock that
@@ -83,11 +126,13 @@ func CheckMutex(t TB, topo *numa.Topology, m locks.Mutex, procs, iters int) {
 	spin.AutoOversubscribe(procs)
 	var s shared
 	var wg sync.WaitGroup
+	gate := newStartGate(procs)
 	for i := 0; i < procs; i++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
 			p := topo.Proc(id)
+			gate.wait()
 			for k := 0; k < iters; k++ {
 				m.Lock(p)
 				s.enter()
@@ -120,11 +165,13 @@ func CheckTryMutex(t TB, topo *numa.Topology, m locks.TryMutex, procs, iters int
 	var s shared
 	var okCount, abortCount atomic.Int64
 	var wg sync.WaitGroup
+	gate := newStartGate(procs)
 	for i := 0; i < procs; i++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
 			p := topo.Proc(id)
+			gate.wait()
 			for k := 0; k < iters; k++ {
 				if m.TryLockFor(p, patience) {
 					s.enter()
@@ -264,12 +311,14 @@ func CheckRW(t TB, topo *numa.Topology, l locks.RWMutex, readers, writers, iters
 	var torn atomic.Int64
 	var writersDone atomic.Int32
 	var wg sync.WaitGroup
+	gate := newStartGate(readers + writers)
 	for i := 0; i < writers; i++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
 			defer writersDone.Add(1)
 			p := topo.Proc(readers + id)
+			gate.wait()
 			for k := 0; k < iters; k++ {
 				l.Lock(p)
 				s.enter()
@@ -282,6 +331,7 @@ func CheckRW(t TB, topo *numa.Topology, l locks.RWMutex, readers, writers, iters
 		go func(id int) {
 			defer wg.Done()
 			p := topo.Proc(id)
+			gate.wait()
 			// Read until every writer retires its quota, with a floor of
 			// iters sections so readers exercise the lock even if the
 			// writers finish first.
@@ -291,6 +341,7 @@ func CheckRW(t TB, topo *numa.Topology, l locks.RWMutex, readers, writers, iters
 					torn.Add(1)
 				}
 				l.RUnlock(p)
+				readerPace(k)
 			}
 		}(i)
 	}
@@ -332,11 +383,13 @@ func CheckExec(t TB, topo *numa.Topology, x locks.Executor, procs, iters int) {
 	var s shared
 	var lost, doubled atomic.Int64
 	var wg sync.WaitGroup
+	gate := newStartGate(procs)
 	for i := 0; i < procs; i++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
 			p := topo.Proc(id)
+			gate.wait()
 			for k := 0; k < iters; k++ {
 				runs := 0
 				x.Exec(p, func() {
@@ -440,12 +493,14 @@ func CheckRWExec(t TB, topo *numa.Topology, x locks.RWExecutor, readers, writers
 	var torn, lost, doubled atomic.Int64
 	var writersDone atomic.Int32
 	var wg sync.WaitGroup
+	gate := newStartGate(readers + writers)
 	for i := 0; i < writers; i++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
 			defer writersDone.Add(1)
 			p := topo.Proc(readers + id)
+			gate.wait()
 			for k := 0; k < iters; k++ {
 				runs := 0
 				x.Exec(p, func() {
@@ -466,6 +521,7 @@ func CheckRWExec(t TB, topo *numa.Topology, x locks.RWExecutor, readers, writers
 		go func(id int) {
 			defer wg.Done()
 			p := topo.Proc(id)
+			gate.wait()
 			// Read until every writer retires its quota, with a floor of
 			// iters closures so shared mode is exercised even if the
 			// writers finish first.
@@ -483,6 +539,7 @@ func CheckRWExec(t TB, topo *numa.Topology, x locks.RWExecutor, readers, writers
 				case runs > 1:
 					doubled.Add(1)
 				}
+				readerPace(k)
 			}
 		}(i)
 	}

@@ -213,7 +213,7 @@ func TestSheddingEndToEnd(t *testing.T) {
 	exchange(t, c, "set b 0 0 2\r\nhi\r\n", "SERVER_ERROR busy\r\n")
 	exchange(t, c, "get a\r\n", "SERVER_ERROR busy\r\n")
 	exchange(t, c, "delete a\r\n", "SERVER_ERROR busy\r\n")
-	if _, ok := store.Get(topo.Proc(0), HashKey("b"), make([]byte, 64)); ok {
+	if _, ok := store.Get(topo.Proc(0), HashKey([]byte("b")), make([]byte, 64)); ok {
 		t.Fatal("shed set was applied to the store")
 	}
 
@@ -233,7 +233,7 @@ func TestSheddingEndToEnd(t *testing.T) {
 	}
 	// The delete was shed, so "a" must still be present — refused ops
 	// leave no trace of any kind.
-	if _, ok := store.Get(topo.Proc(0), HashKey("a"), make([]byte, 64)); !ok {
+	if _, ok := store.Get(topo.Proc(0), HashKey([]byte("a")), make([]byte, 64)); !ok {
 		t.Fatal("shed delete was applied to the store")
 	}
 }

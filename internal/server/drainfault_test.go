@@ -62,7 +62,7 @@ func TestDrainWithHalfWrittenFrame(t *testing.T) {
 	// The torn set was never completed, so it must not be in the store
 	// — and it must not be classified as a client fault either (the
 	// cut happened because WE drained).
-	if _, ok := store.Get(topo.Proc(0), HashKey("stuck"), make([]byte, 64)); ok {
+	if _, ok := store.Get(topo.Proc(0), HashKey([]byte("stuck")), make([]byte, 64)); ok {
 		t.Fatal("half-written set appeared in the store")
 	}
 	if st := srv.Snapshot(); st.ClientGone != 0 || st.EvictedConns != 0 {
@@ -113,7 +113,7 @@ func TestAckedWritePreservedAcrossResponseReset(t *testing.T) {
 	// The acknowledged-order guarantee: the value IS in the store.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, ok := store.Get(topo.Proc(0), HashKey("durable"), make([]byte, 64)); ok {
+		if _, ok := store.Get(topo.Proc(0), HashKey([]byte("durable")), make([]byte, 64)); ok {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -165,7 +165,7 @@ func TestBrokenDropAckedWrite(t *testing.T) {
 	}
 	dropped := 0
 	for _, k := range keys {
-		if _, ok := store.Get(topo.Proc(0), HashKey(k), make([]byte, 64)); !ok {
+		if _, ok := store.Get(topo.Proc(0), HashKey([]byte(k)), make([]byte, 64)); !ok {
 			dropped++
 		}
 	}

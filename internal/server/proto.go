@@ -4,12 +4,13 @@
 //
 // The design premise is the same amortization the batch APIs give
 // in-process callers, carried across the socket: a connection's decode
-// loop accumulates consecutive same-verb requests and flushes each run
-// through MGet/MSet/MDeleteEach, so a pipelined burst of N same-shard
-// operations costs ceil(N/MaxBatch) lock acquisitions instead of N.
-// Responses are written only after the store call returns — an
-// acknowledged write is in the store by construction, which is what
-// makes graceful drain lossless (see Server.Shutdown).
+// loop turns every pipelined get, set and delete into one record of a
+// single ordered op list and flushes the whole burst, verbs mixed,
+// through one Store.Apply call, so a burst of N same-shard operations
+// costs ceil(N/MaxBatch) lock acquisitions instead of N. Responses are
+// written in request order only after Apply returns — an acknowledged
+// write is in the store by construction, which is what makes graceful
+// drain lossless (see Server.Shutdown).
 //
 // Protocol deviations from stock memcached, recorded here because the
 // wire format is public API (see also DESIGN.md §5):
@@ -73,7 +74,7 @@ const maxSwallowBytes = 8 << 20
 // what it accumulates.
 type Request struct {
 	Kind    Kind
-	Keys    []string // get/gets: 1..n keys; set/delete: exactly one
+	Keys    [][]byte // get/gets: 1..n keys; set/delete: exactly one
 	CAS     bool     // gets: responses carry a cas unique value
 	Flags   uint32   // set: opaque client flags, round-tripped
 	NoReply bool     // set/delete: suppress the response
@@ -99,13 +100,17 @@ var (
 	errNotImpl     = &ProtoError{Line: "SERVER_ERROR command not implemented"}
 )
 
-// Parser decodes requests from a buffered stream, reusing its field
-// and body buffers across calls so a steady pipelined decode loop
-// allocates only the key strings it hands upward.
+// Parser decodes requests from a buffered stream, reusing its field,
+// key and body buffers across calls so a steady pipelined decode loop
+// allocates nothing.
 type Parser struct {
-	r      *bufio.Reader
-	lim    Limits
-	keys   []string
+	r    *bufio.Reader
+	lim  Limits
+	keys [][]byte
+	// setKey holds a storage request's key: the data block is read
+	// after the command line, which may refill the reader's buffer the
+	// line's fields alias.
+	setKey []byte
 	body   []byte
 	fields [][]byte
 }
@@ -149,7 +154,7 @@ func (p *Parser) ParseRequest(req *Request) error {
 			if !validKey(f) {
 				return errBadFormat
 			}
-			p.keys = append(p.keys, string(f))
+			p.keys = append(p.keys, f)
 		}
 		req.Kind = KindGet
 		req.Keys = p.keys
@@ -187,7 +192,7 @@ func (p *Parser) ParseRequest(req *Request) error {
 			}
 			req.NoReply = true
 		}
-		p.keys = append(p.keys[:0], string(args[0]))
+		p.keys = append(p.keys[:0], args[0])
 		req.Kind = KindDelete
 		req.Keys = p.keys
 		return nil
@@ -273,6 +278,7 @@ func (p *Parser) parseStorage(req *Request, args [][]byte, keep bool) error {
 		}
 		return errTooLarge
 	}
+	p.setKey = append(p.setKey[:0], args[0]...)
 	if cap(p.body) < int(size)+2 {
 		p.body = make([]byte, size+2)
 	}
@@ -287,7 +293,7 @@ func (p *Parser) parseStorage(req *Request, args [][]byte, keep bool) error {
 		return errBadChunk
 	}
 	if keep {
-		p.keys = append(p.keys[:0], string(args[0]))
+		p.keys = append(p.keys[:0], p.setKey)
 		req.Kind = KindSet
 		req.Keys = p.keys
 		req.Flags = uint32(flags)
@@ -383,11 +389,11 @@ func parseUint(b []byte, max uint64) (uint64, bool) {
 	return v, true
 }
 
-// HashKey maps a wire key to the store's uint64 keyspace (FNV-1a).
-// Distinct keys colliding in 64 bits would alias — acceptable for a
-// cache (a collision reads as a different value having been set), and
-// vanishingly unlikely below ~2^32 keys.
-func HashKey(key string) uint64 {
+// HashKey maps a wire key's bytes to the store's uint64 keyspace
+// (FNV-1a). Distinct keys colliding in 64 bits would alias —
+// acceptable for a cache (a collision reads as a different value
+// having been set), and vanishingly unlikely below ~2^32 keys.
+func HashKey(key []byte) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -401,22 +407,11 @@ func HashKey(key string) uint64 {
 }
 
 // PseudoCAS derives the cas unique value served by gets: an FNV-1a
-// checksum of the stored value bytes. It changes whenever the value
-// does, which is the monotonicity "gets" consumers rely on for
-// read-your-writes checks; the cas storage verb itself is not
-// implemented.
-func PseudoCAS(value []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, c := range value {
-		h ^= uint64(c)
-		h *= prime64
-	}
-	return h
-}
+// checksum of the stored value bytes, the same hash HashKey applies to
+// keys. It changes whenever the value does, which is the monotonicity
+// "gets" consumers rely on for read-your-writes checks; the cas
+// storage verb itself is not implemented.
+func PseudoCAS(value []byte) uint64 { return HashKey(value) }
 
 // encodeValue prepends the 4-byte big-endian flags header under which
 // values are stored, writing into dst (grown as needed) and returning

@@ -77,8 +77,9 @@ type Config struct {
 	// runs. Default 1s.
 	BusyReadTimeout time.Duration
 	// ConnMemoryBytes is the hard per-connection decode-memory bound:
-	// a pipelined set run flushes early once its buffered values reach
-	// it, and get responses chunk so response staging stays under it.
+	// a pending burst flushes early once its staging would pass it,
+	// counting each buffered set value and each get's destination
+	// buffer (4+MaxValueBytes, the largest value a get can return).
 	// Raised to MaxValueBytes+4 if set lower (one op must fit).
 	// Default 8 MiB.
 	ConnMemoryBytes int
@@ -177,8 +178,10 @@ type Stats struct {
 	Gets, Sets, Deletes uint64
 	// Hits counts get operations that found their key.
 	Hits uint64
-	// Flushes counts store batch calls — Gets+Sets+Deletes over
-	// Flushes is the realized pipelining amortization.
+	// Flushes counts store batch calls: one flush is one Store.Apply
+	// call carrying a connection's pending burst, verbs mixed.
+	// Gets+Sets+Deletes over Flushes is the realized pipelining
+	// amortization.
 	Flushes uint64
 	// BadRequests counts protocol errors answered with an error line.
 	BadRequests uint64
@@ -317,13 +320,20 @@ func New(cfg Config) (*Server, error) {
 // coarse enough that the sampler is invisible next to request work.
 const occupancySampleInterval = 25 * time.Millisecond
 
+// occupancySubSamples is how many estimates the sampler reads per
+// tick; the tick reports their peak. A connection posts one closure
+// per shard group of a whole pipelined burst, so its combiner visits
+// are few and far between, and a single estimate per tick would miss
+// most of the pile-ups admission must react to.
+const occupancySubSamples = 5
+
 // startOccupancySampler begins the background occupancy gauge when at
 // least one shard's lock exposes an estimate (the adaptive combining
 // executors); stores without one keep the gauge at -1, pay nothing,
-// and leave AdaptiveAdmission inert. Each tick feeds the max per-shard
-// estimate to noteOccupancy, which keeps the lifetime peak and — under
-// AdaptiveAdmission — drives the cap and shed hysteresis. The sampler
-// stops when the server begins draining.
+// and leave AdaptiveAdmission inert. Each tick feeds the peak per-shard
+// estimate across its sub-samples to noteOccupancy, which keeps the
+// lifetime peak and — under AdaptiveAdmission — drives the cap and
+// shed hysteresis. The sampler stops when the server begins draining.
 func (s *Server) startOccupancySampler() {
 	if !s.occTracked {
 		return
@@ -332,20 +342,23 @@ func (s *Server) startOccupancySampler() {
 	s.samplerWG.Add(1)
 	go func() {
 		defer s.samplerWG.Done()
-		t := time.NewTicker(occupancySampleInterval)
+		t := time.NewTicker(occupancySampleInterval / occupancySubSamples)
 		defer t.Stop()
+		peak, taken := 0, 0
 		for {
 			select {
 			case <-s.done:
 				return
 			case <-t.C:
-				peak := 0
 				for i := 0; i < n; i++ {
 					if occ, ok := s.store.ShardOccupancy(i); ok && occ > peak {
 						peak = occ
 					}
 				}
-				s.noteOccupancy(peak)
+				if taken++; taken == occupancySubSamples {
+					s.noteOccupancy(peak)
+					peak, taken = 0, 0
+				}
 			}
 		}
 	}()
@@ -538,12 +551,21 @@ func (s *Server) Snapshot() Stats {
 	return st
 }
 
-// getReq records one get/gets request's slice of the accumulated key
-// run, so responses reconstruct per-request END framing even though
-// the keys flush as one batch.
-type getReq struct {
-	n   int
+// opMeta is the reply half of one pending op record: what the store
+// never needs but the response does.
+type opMeta struct {
+	// key and keyLen locate a get's key bytes in conn.keys, for its
+	// VALUE line.
+	key    uint32
+	keyLen uint8
+	// cas marks a gets key, whose VALUE line carries a cas unique.
 	cas bool
+	// owed marks an op that closes a response the client is owed: the
+	// last key of a get request (END follows it), or a set or delete
+	// without noreply.
+	owed bool
+	// dropped marks a set BrokenDropAckedWrite turned into a probe.
+	dropped bool
 }
 
 // conn is the per-connection decode/flush state. All buffers are
@@ -557,28 +579,29 @@ type conn struct {
 
 	sizer *kvload.BatchSizer
 
-	// Pending same-verb run. kind is only meaningful when pending>0.
-	kind    Kind
-	pending int
+	// The pending burst: one store op record per get key, set and
+	// delete, in request order, with its reply metadata at the same
+	// index. keys is the arena the gets' key bytes are copied into
+	// (the parser's buffers are reused by the next request), and
+	// bufs[i] is position i's reusable value slot — a set's encoded
+	// value, or a get's destination buffer.
+	ops  []kvstore.Op
+	meta []opMeta
+	keys []byte
+	bufs [][]byte
 
-	getKeys    []uint64
-	getNames   []string
-	getReqs    []getReq
-	setKeys    []uint64
-	setVals    [][]byte
-	setSlots   [][]byte
-	setNoReply []bool
-	delKeys    []uint64
-	delNoReply []bool
-
-	dsts  [][]byte
-	lens  []int
-	found []bool
-
-	// pendingBytes tracks the buffered value bytes of the pending set
-	// run against Config.ConnMemoryBytes — the hard decode-memory
-	// bound; crossing it flushes early.
+	// valCap is a get destination's size: flags header plus the
+	// largest accepted value.
+	valCap int
+	// pendingBytes is the pending burst's staging — buffered set values
+	// plus get destinations — against Config.ConnMemoryBytes, the hard
+	// decode-memory bound; passing it flushes early.
 	pendingBytes int
+	// midGet reports that the last flush ended inside a get request
+	// (the memory bound split its keys), and midShed whether that
+	// flush was shed: the rest of the request follows its first part,
+	// so the reply stays one well-framed answer.
+	midGet, midShed bool
 
 	// Local op counters, folded into the server's atomics on close.
 	gets, sets, deletes, hits, flushes, badRequests, shedded uint64
@@ -592,35 +615,33 @@ type conn struct {
 
 var crlf = []byte("\r\n")
 
-// serveConn runs one connection's decode loop: parse, accumulate
-// same-verb runs, flush a run when the verb changes, the run reaches
-// the sizer's batch bound, or the reader has no more pipelined bytes.
-// Responses for a run are written only after its store call returns.
+// serveConn runs one connection's decode loop: parse every pipelined
+// request into the pending burst, and flush the burst when it reaches
+// the sizer's batch bound or the memory bound, when the reader has no
+// more pipelined bytes, or before a non-data verb or an error line.
+// Responses for a burst are written only after its store call returns.
 func (s *Server) serveConn(nc net.Conn, p *numa.Proc) {
-	mb := s.cfg.MaxBatch
-	c := &conn{
-		srv:        s,
-		c:          nc,
-		p:          p,
-		par:        NewParser(bufio.NewReaderSize(nc, readerBufBytes), Limits{MaxValueBytes: s.cfg.MaxValueBytes}),
-		w:          bufio.NewWriterSize(nc, writerBufBytes),
-		sizer:      kvload.NewBatchSizerAt(mb, mb),
-		getKeys:    make([]uint64, 0, mb),
-		getNames:   make([]string, 0, mb),
-		getReqs:    make([]getReq, 0, mb),
-		setKeys:    make([]uint64, 0, mb),
-		setVals:    make([][]byte, 0, mb),
-		setSlots:   make([][]byte, mb),
-		setNoReply: make([]bool, 0, mb),
-		delKeys:    make([]uint64, 0, mb),
-		delNoReply: make([]bool, 0, mb),
-		dsts:       make([][]byte, mb),
-		lens:       make([]int, mb),
-		found:      make([]bool, mb),
-		numBuf:     make([]byte, 0, 24),
-	}
+	c := s.newConn(nc, p)
 	defer c.fold()
 	c.loop()
+}
+
+// newConn builds nc's decode/flush state, served as p.
+func (s *Server) newConn(nc net.Conn, p *numa.Proc) *conn {
+	mb := s.cfg.MaxBatch
+	return &conn{
+		srv:    s,
+		c:      nc,
+		p:      p,
+		par:    NewParser(bufio.NewReaderSize(nc, readerBufBytes), Limits{MaxValueBytes: s.cfg.MaxValueBytes}),
+		w:      bufio.NewWriterSize(nc, writerBufBytes),
+		sizer:  kvload.NewBatchSizerAt(mb, mb),
+		ops:    make([]kvstore.Op, 0, mb),
+		meta:   make([]opMeta, 0, mb),
+		bufs:   make([][]byte, 0, mb),
+		valCap: 4 + s.cfg.MaxValueBytes,
+		numBuf: make([]byte, 0, 24),
+	}
 }
 
 // fold drains the connection's local counters into the server totals.
@@ -692,27 +713,22 @@ func (c *conn) loop() {
 		}
 		switch req.Kind {
 		case KindGet:
-			c.accumulate(KindGet)
-			for _, k := range req.Keys {
-				c.getKeys = append(c.getKeys, HashKey(k))
-				c.getNames = append(c.getNames, k)
+			for i, k := range req.Keys {
+				// Each key stages a whole destination buffer: a long
+				// multi-key get splits across flushes rather than pass
+				// the memory bound.
+				if len(c.ops) > 0 && c.pendingBytes+c.valCap > c.srv.cfg.ConnMemoryBytes {
+					c.flushOps()
+				}
+				c.addGet(k, req.CAS, i == len(req.Keys)-1)
 			}
-			c.getReqs = append(c.getReqs, getReq{n: len(req.Keys), cas: req.CAS})
-			c.pending += len(req.Keys)
 		case KindSet:
-			c.accumulate(KindSet)
-			i := len(c.setKeys)
-			c.setSlots[i] = encodeValue(c.setSlots[i], req.Flags, req.Value)
-			c.setKeys = append(c.setKeys, HashKey(req.Keys[0]))
-			c.setVals = append(c.setVals, c.setSlots[i])
-			c.setNoReply = append(c.setNoReply, req.NoReply)
-			c.pending++
-			c.pendingBytes += 4 + len(req.Value)
+			i := c.addOp(kvstore.OpSet, req.Keys[0], opMeta{owed: !req.NoReply})
+			c.bufs[i] = encodeValue(c.bufs[i], req.Flags, req.Value)
+			c.ops[i].Val = c.bufs[i]
+			c.pendingBytes += len(c.bufs[i])
 		case KindDelete:
-			c.accumulate(KindDelete)
-			c.delKeys = append(c.delKeys, HashKey(req.Keys[0]))
-			c.delNoReply = append(c.delNoReply, req.NoReply)
-			c.pending++
+			c.addOp(kvstore.OpDelete, req.Keys[0], opMeta{owed: !req.NoReply})
 		case KindVersion:
 			c.flushOps()
 			c.writeLine("VERSION " + c.srv.cfg.Version)
@@ -724,7 +740,7 @@ func (c *conn) loop() {
 			c.finish()
 			return
 		}
-		if c.pending >= c.sizer.Size() || c.pendingBytes >= c.srv.cfg.ConnMemoryBytes {
+		if len(c.ops) >= c.sizer.Size() || c.pendingBytes >= c.srv.cfg.ConnMemoryBytes {
 			c.flushOps()
 		}
 		if c.par.Buffered() == 0 {
@@ -734,15 +750,28 @@ func (c *conn) loop() {
 	}
 }
 
-// accumulate starts or continues a same-verb run: a verb change
-// flushes the previous run first, preserving the connection's
-// response order (a set pipelined before a get is applied — and
-// answered — before the get reads).
-func (c *conn) accumulate(k Kind) {
-	if c.pending > 0 && c.kind != k {
-		c.flushOps()
+// addOp appends one op record for key, with its reply metadata, to
+// the pending burst and returns its index.
+func (c *conn) addOp(kind kvstore.OpKind, key []byte, m opMeta) int {
+	i := len(c.ops)
+	if i == len(c.bufs) {
+		c.bufs = append(c.bufs, nil)
 	}
-	c.kind = k
+	c.ops = append(c.ops, kvstore.Op{Kind: kind, Key: HashKey(key)})
+	c.meta = append(c.meta, m)
+	return i
+}
+
+// addGet appends one get key: its bytes go to the key arena for the
+// VALUE line, and its position's slot becomes the destination buffer.
+func (c *conn) addGet(key []byte, cas, last bool) {
+	i := c.addOp(kvstore.OpGet, key, opMeta{key: uint32(len(c.keys)), keyLen: uint8(len(key)), cas: cas, owed: last})
+	c.keys = append(c.keys, key...)
+	if cap(c.bufs[i]) < c.valCap {
+		c.bufs[i] = make([]byte, c.valCap)
+	}
+	c.ops[i].Val = c.bufs[i][:c.valCap]
+	c.pendingBytes += c.valCap
 }
 
 // finish flushes the response buffer and lets the caller close.
@@ -796,198 +825,123 @@ func (c *conn) maybeFlushWriter() {
 	}
 }
 
-// flushOps applies the pending run through the store's batch APIs and
-// writes its responses. The store call is timed for the sizer: if
-// per-op service time degrades (shards contended, batches outgrowing
-// amortization), subsequent flushes shrink.
+// flushOps applies the pending burst with one Store.Apply call and
+// writes its responses in request order — or, while the shed valve is
+// engaged, refuses it whole. A get request the memory bound split
+// across flushes is never half shed: its later parts follow its first.
 func (c *conn) flushOps() {
-	if c.pending == 0 {
+	n := len(c.ops)
+	if n == 0 {
 		return
 	}
-	if c.srv.shedFlag.Load() {
+	shed := c.srv.shedFlag.Load()
+	if c.midGet {
+		shed = c.midShed
+	}
+	c.midGet = c.ops[n-1].Kind == kvstore.OpGet && !c.meta[n-1].owed
+	c.midShed = shed
+	if shed {
 		c.shedOps()
-		return
+	} else {
+		c.applyOps()
+	}
+	c.ops = c.ops[:0]
+	c.meta = c.meta[:0]
+	c.keys = c.keys[:0]
+	c.pendingBytes = 0
+	c.fold()
+}
+
+// applyOps runs the pending burst through the store and answers every
+// op. The store call is timed for the sizer: if per-op service time
+// degrades (shards contended, batches outgrowing amortization),
+// subsequent flushes shrink.
+func (c *conn) applyOps() {
+	if c.srv.cfg.Broken == BrokenDropAckedWrite {
+		c.brokenDropSets()
 	}
 	began := time.Now()
-	switch c.kind {
-	case KindGet:
-		c.flushGets()
-	case KindSet:
-		setKeys, setVals := c.setKeys, c.setVals
-		if c.srv.cfg.Broken == BrokenDropAckedWrite {
-			setKeys, setVals = c.brokenFilterSets()
+	c.srv.store.Apply(c.p, c.ops)
+	c.sizer.Observe(len(c.ops), time.Since(began))
+	c.flushes++
+	for i := range c.ops {
+		op, m := &c.ops[i], &c.meta[i]
+		if m.dropped {
+			op.Kind = kvstore.OpSet // answered as the set it replaced
 		}
-		c.srv.store.MSet(c.p, setKeys, setVals)
-		c.sets += uint64(len(c.setKeys))
-		c.flushes++
-		for _, noreply := range c.setNoReply {
-			if !noreply {
+		switch op.Kind {
+		case kvstore.OpGet:
+			c.gets++
+			if op.Found {
+				c.hits++
+				flags, val := decodeValue(op.Val[:op.N])
+				c.writeValue(c.keys[m.key:m.key+uint32(m.keyLen)], flags, val, m.cas)
+			}
+			if m.owed {
+				c.writeLine("END")
+			}
+		case kvstore.OpSet:
+			c.sets++
+			if m.owed {
 				c.writeLine("STORED")
 			}
-		}
-		c.setKeys = c.setKeys[:0]
-		c.setVals = c.setVals[:0]
-		c.setNoReply = c.setNoReply[:0]
-	case KindDelete:
-		found := c.found[:len(c.delKeys)]
-		c.srv.store.MDeleteEach(c.p, c.delKeys, found)
-		c.deletes += uint64(len(c.delKeys))
-		c.flushes++
-		for i, noreply := range c.delNoReply {
-			if noreply {
-				continue
-			}
-			if found[i] {
+		case kvstore.OpDelete:
+			c.deletes++
+			switch {
+			case !m.owed:
+			case op.Found:
 				c.writeLine("DELETED")
-			} else {
+			default:
 				c.writeLine("NOT_FOUND")
 			}
 		}
-		c.delKeys = c.delKeys[:0]
-		c.delNoReply = c.delNoReply[:0]
 	}
-	c.sizer.Observe(c.pending, time.Since(began))
-	c.pending = 0
-	c.pendingBytes = 0
-	c.fold()
 }
 
-// shedOps refuses the pending run: every op that owes a response is
-// answered "SERVER_ERROR busy" — a legal, frame-preserving error line
-// the client can parse, retry, or back off on — and NOTHING touches
-// the store. The two halves of the contract: a shed op is never
-// applied (so no acknowledged-then-dropped write can exist — STORED is
-// only ever written after MSet returns), and the frame stays intact
-// (every non-noreply request still gets exactly one answer line, so
-// the client's pipeline bookkeeping survives the refusal).
+// shedOps refuses the pending burst: every response owed is answered
+// "SERVER_ERROR busy" — one per get request, one per set or delete
+// without noreply; a legal, frame-preserving error line the client can
+// parse, retry, or back off on — and NOTHING touches the store. The
+// two halves of the contract: a shed op is never applied (so no
+// acknowledged-then-dropped write can exist — STORED is only ever
+// written after Apply returns), and the frame stays intact (every
+// request that owes an answer still gets exactly one line, so the
+// client's pipeline bookkeeping survives the refusal).
 func (c *conn) shedOps() {
-	switch c.kind {
-	case KindGet:
-		for range c.getReqs {
+	for i := range c.meta {
+		if c.meta[i].owed {
 			c.writeLine("SERVER_ERROR busy")
 		}
-		c.shedded += uint64(len(c.getKeys))
-		c.getKeys = c.getKeys[:0]
-		c.getNames = c.getNames[:0]
-		c.getReqs = c.getReqs[:0]
-	case KindSet:
-		for _, noreply := range c.setNoReply {
-			if !noreply {
-				c.writeLine("SERVER_ERROR busy")
-			}
-		}
-		c.shedded += uint64(len(c.setKeys))
-		c.setKeys = c.setKeys[:0]
-		c.setVals = c.setVals[:0]
-		c.setNoReply = c.setNoReply[:0]
-	case KindDelete:
-		for _, noreply := range c.delNoReply {
-			if !noreply {
-				c.writeLine("SERVER_ERROR busy")
-			}
-		}
-		c.shedded += uint64(len(c.delKeys))
-		c.delKeys = c.delKeys[:0]
-		c.delNoReply = c.delNoReply[:0]
 	}
 	// Deliberately no sizer.Observe: a refusal says nothing about
 	// store service time.
-	c.pending = 0
-	c.pendingBytes = 0
-	c.fold()
+	c.shedded += uint64(len(c.ops))
 }
 
-// brokenFilterSets implements BrokenDropAckedWrite: every fourth set
-// on the connection is silently removed from the batch about to be
-// applied, while the response path (which iterates setNoReply,
-// untouched) still answers STORED for it. Exists solely so
-// internal/soak's self-test can prove the chaos verifier catches a
-// lost acknowledged write; never reachable in production configs.
-func (c *conn) brokenFilterSets() (keys []uint64, vals [][]byte) {
-	keys, vals = c.setKeys[:0:len(c.setKeys)], c.setVals[:0:len(c.setVals)]
-	for i := range c.setKeys {
+// brokenDropSets implements BrokenDropAckedWrite: every fourth set on
+// the connection becomes a value-less get probe of its key before the
+// burst is applied, so it never reaches the store, while the response
+// path still answers STORED for it. Exists solely so internal/soak's
+// self-test can prove the chaos verifier catches a lost acknowledged
+// write; never reachable in production configs.
+func (c *conn) brokenDropSets() {
+	for i := range c.ops {
+		if c.ops[i].Kind != kvstore.OpSet {
+			continue
+		}
 		c.brokenCount++
 		if c.brokenCount%4 == 0 {
-			continue
-		}
-		keys = append(keys, c.setKeys[i])
-		vals = append(vals, c.setVals[i])
-	}
-	return keys, vals
-}
-
-// flushGets answers the accumulated get run. Keys flush through MGet
-// in chunks of at most MaxBatch — matching the store's own per-
-// critical-section bound, so a single-shard run of N keys costs
-// exactly ceil(N/MaxBatch) acquisitions — and VALUE lines stream out
-// as each chunk returns, with END framing reconstructed per original
-// request. Destination buffers are lazily grown slots reused across
-// chunks and flushes.
-func (c *conn) flushGets() {
-	mb := c.srv.cfg.MaxBatch
-	valCap := 4 + c.srv.cfg.MaxValueBytes
-	// The response staging for one chunk is chunk×valCap of lazily
-	// grown destination slots; keep that under the connection's decode
-	// memory bound too (the default 8 MiB bound leaves the default
-	// MaxBatch×64KiB window untouched).
-	if byChunk := c.srv.cfg.ConnMemoryBytes / valCap; byChunk < mb {
-		mb = max(1, byChunk)
-	}
-	reqIdx, left := 0, 0
-	if len(c.getReqs) > 0 {
-		left = c.getReqs[0].n
-	}
-	for start := 0; start < len(c.getKeys); start += mb {
-		end := min(start+mb, len(c.getKeys))
-		n := end - start
-		dsts, lens, found := c.dsts[:n], c.lens[:n], c.found[:n]
-		for i := range dsts {
-			if cap(dsts[i]) < valCap {
-				dsts[i] = make([]byte, valCap)
-			}
-			dsts[i] = dsts[i][:valCap]
-		}
-		c.srv.store.MGet(c.p, c.getKeys[start:end], dsts, lens, found)
-		c.flushes++
-		for i := 0; i < n; i++ {
-			for left == 0 {
-				// Zero-key requests cannot exist (parser enforces
-				// >= 1), so this only closes out finished requests.
-				c.writeLine("END")
-				reqIdx++
-				left = c.getReqs[reqIdx].n
-			}
-			if found[i] {
-				c.hits++
-				flags, val := decodeValue(dsts[i][:lens[i]])
-				c.writeValue(c.getNames[start+i], flags, val, c.getReqs[reqIdx].cas)
-			}
-			left--
+			c.ops[i].Kind, c.ops[i].Val = kvstore.OpGet, nil
+			c.meta[i].dropped = true
 		}
 	}
-	c.gets += uint64(len(c.getKeys))
-	// Close out the trailing finished request(s).
-	for reqIdx < len(c.getReqs) {
-		if left == 0 {
-			c.writeLine("END")
-			reqIdx++
-			if reqIdx < len(c.getReqs) {
-				left = c.getReqs[reqIdx].n
-			}
-			continue
-		}
-		left = 0
-	}
-	c.getKeys = c.getKeys[:0]
-	c.getNames = c.getNames[:0]
-	c.getReqs = c.getReqs[:0]
 }
 
 // writeValue emits one VALUE response block:
 // "VALUE <key> <flags> <bytes>[ <cas>]\r\n<data>\r\n".
-func (c *conn) writeValue(key string, flags uint32, val []byte, cas bool) {
+func (c *conn) writeValue(key []byte, flags uint32, val []byte, cas bool) {
 	c.w.WriteString("VALUE ")
-	c.w.WriteString(key)
+	c.w.Write(key)
 	c.w.WriteByte(' ')
 	c.writeUint(uint64(flags))
 	c.w.WriteByte(' ')

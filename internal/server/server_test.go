@@ -160,7 +160,7 @@ func TestPipelinedBatchAcquisitions(t *testing.T) {
 	// Populate through the store so the get burst is all hits.
 	p := topo.Proc(0)
 	for i := 0; i < n; i++ {
-		store.Set(p, HashKey(fmt.Sprintf("k%02d", i)), encodeValue(nil, 0, []byte("val")))
+		store.Set(p, HashKey([]byte(fmt.Sprintf("k%02d", i))), encodeValue(nil, 0, []byte("val")))
 	}
 
 	client, serverSide := net.Pipe()
@@ -263,9 +263,17 @@ func TestGracefulShutdown(t *testing.T) {
 		}(w)
 	}
 
-	// Let the writers get going, then drain mid-flight.
-	for srv.Snapshot().Sets < 10 {
-		time.Sleep(time.Millisecond)
+	// Let every writer get going — each holds at least one ack — then
+	// drain mid-flight. Waiting on a total set count instead would let
+	// one fast writer satisfy it before a slower one is served at all.
+	deadline := time.Now().Add(10 * time.Second)
+	for w := 0; w < writers; w++ {
+		for lastAcked[w].Load() == 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("writer %d never got an ack before the drain", w)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 	if err := srv.Shutdown(5 * time.Second); err != nil {
 		t.Fatalf("Shutdown: %v", err)
@@ -285,7 +293,7 @@ func TestGracefulShutdown(t *testing.T) {
 		if want == 0 {
 			t.Fatalf("writer %d never got an ack — test proved nothing", w)
 		}
-		nb, ok := store.Get(p, HashKey(fmt.Sprintf("drain%d", w)), dst)
+		nb, ok := store.Get(p, HashKey([]byte(fmt.Sprintf("drain%d", w))), dst)
 		if !ok {
 			t.Fatalf("writer %d: acked key missing after drain", w)
 		}
