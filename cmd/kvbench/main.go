@@ -60,18 +60,8 @@
 // records; heap records are unchanged, so pre-arena envelopes stay
 // comparable.
 //
-// -indexmem switches the store's shard-metadata backend for any
-// table: "pointer" (the default: items are individual GC allocations
-// linked by Go pointers) or "compact" (items live in per-shard
-// pointer-free slabs with uint32 index links, so the hash table and
-// LRU are off the GC scan path). Compact cells carry an index_memory
-// knob in their JSON records; pointer records are unchanged, so
-// pre-compact envelopes stay comparable.
-//
 // -churn emits the memory-backend exhibit directly: per lock, a
-// column per value-memory × index-memory combination (heap/arena ×
-// pointer/compact; an explicit -indexmem restricts to that index
-// mode) on a write-heavy mix with values drawn from [64,512] bytes —
+// column per value-memory mode (heap and arena) on a write-heavy mix with values drawn from [64,512] bytes —
 // the overwrite churn that makes heap mode allocate on most sets —
 // with four tables: speedup, Go heap allocs per operation, total GC
 // pause, and GC mark-assist CPU time. JSON records carry
@@ -126,15 +116,10 @@ type options struct {
 	capacity   int
 	arenaBytes int
 	valueMem   kvstore.ValueMemory
-	indexMem   kvstore.IndexMemory
-	// indexMemSet records an explicit -indexmem: the churn exhibit
-	// sweeps both index modes when the flag is left unset and restricts
-	// to the requested one otherwise.
-	indexMemSet bool
-	shardStat   bool
-	placement   kvstore.Placement
-	csv         bool
-	jsonOut     bool
+	shardStat  bool
+	placement  kvstore.Placement
+	csv        bool
+	jsonOut    bool
 }
 
 // vmLabel is the records' value_memory identity field: empty for the
@@ -146,18 +131,6 @@ func (o options) vmLabel() string {
 	}
 	return o.valueMem.String()
 }
-
-// imLabel is the records' index_memory identity field, same contract
-// as vmLabel: empty for the default pointer mode, so pointer
-// envelopes stay byte-identical to the pre-compact format.
-func imLabel(im kvstore.IndexMemory) string {
-	if im == kvstore.IndexPointer {
-		return ""
-	}
-	return im.String()
-}
-
-func (o options) imLabel() string { return imLabel(o.indexMem) }
 
 // record is one measured cell, emitted under -json.
 type record struct {
@@ -201,10 +174,6 @@ type record struct {
 	// "heap" and "arena" — so the exhibit's heap half never collides
 	// with a standard-table cell of the same lock and mix.
 	ValueMemory string `json:"value_memory,omitempty"`
-	// IndexMemory is the shard-metadata knob: "compact" for slab-index
-	// cells, empty (omitted) for the default pointer mode so
-	// pre-compact envelopes keep matching.
-	IndexMemory string `json:"index_memory,omitempty"`
 	// AllocsPerOp and GCPauseMs are populated by -churn cells:
 	// Go heap allocations per operation and total stop-the-world GC
 	// pause over the window. Pointers, because an arena cell's genuine
@@ -234,7 +203,6 @@ func main() {
 		adaptiveFlag  = flag.Bool("adaptive", false, "emit the adaptive-hot-path tables: fixed vs adaptive combining, shared vs exclusive batched MGet, fixed vs adaptive client batch (one mix: -mix, defaulting to 50)")
 		churnFlag     = flag.Bool("churn", false, "emit the value-memory churn tables: heap vs arena columns per lock on varying-size overwrites, with allocs/op and GC-pause tables (one mix: -mix, defaulting to 10)")
 		valuememFlag  = flag.String("valuemem", "heap", "value backend for the store: heap or arena")
-		indexmemFlag  = flag.String("indexmem", "", "shard-metadata backend: pointer or compact (default pointer; -churn left unset measures both)")
 		shardsatFlag  = flag.Bool("shardstats", false, "print per-shard counters (gets/sets/evictions/spills and sampled max combiner occupancy) after each standard or churn cell")
 		compareFlag   = flag.Bool("compare", false, "compare two kvbench JSON envelopes (args: old.json new.json) and exit nonzero on throughput regressions")
 		regressFlag   = flag.Float64("regress-threshold", benchfmt.DefaultRegressionThreshold, "fractional ops/s drop -compare flags as a regression")
@@ -282,14 +250,6 @@ func main() {
 		cli.Die(tool, err)
 	}
 	opt.valueMem = vm
-	if *indexmemFlag != "" {
-		im, err := cli.IndexMemory(*indexmemFlag)
-		if err != nil {
-			cli.Die(tool, err)
-		}
-		opt.indexMem = im
-		opt.indexMemSet = true
-	}
 	switch *mixFlag {
 	case "all":
 		opt.mixes = []int{90, 50, 10}
@@ -500,7 +460,7 @@ func sizeShards(cfg *kvstore.Config, opt options, topo *numa.Topology, shards in
 // path, one lock instance per shard from the registry factory
 // otherwise.
 func newStore(opt options, topo *numa.Topology, e registry.Entry, shards int) *kvstore.Store {
-	cfg := kvstore.Config{Topo: topo, ValueMemory: opt.valueMem, IndexMemory: opt.indexMem}
+	cfg := kvstore.Config{Topo: topo, ValueMemory: opt.valueMem}
 	if e.NewExec != nil {
 		cfg.NewExec = e.ExecFactory(topo)
 		if shards > 1 {
@@ -534,7 +494,7 @@ func newStoreRW(opt options, topo *numa.Topology, e registry.Entry, shards int, 
 	// -adaptive shared-read table), so a shard group of a client batch
 	// is one critical section and the "batch=N" caption describes what
 	// actually ran; plain -reads runs keep the store default.
-	cfg := kvstore.Config{Topo: topo, MaxBatch: opt.batch, ValueMemory: opt.valueMem, IndexMemory: opt.indexMem}
+	cfg := kvstore.Config{Topo: topo, MaxBatch: opt.batch, ValueMemory: opt.valueMem}
 	if shards <= 1 {
 		cfg.RWLock = f()
 	} else {
@@ -563,7 +523,7 @@ func measureBatch(opt options, topo *numa.Topology, e registry.Entry, threads, g
 	// lock, so combined batches count as the single acquisition they
 	// are.
 	var acquisitions atomic.Uint64
-	cfg := kvstore.Config{Topo: topo, MaxBatch: opt.batch, ValueMemory: opt.valueMem, IndexMemory: opt.indexMem}
+	cfg := kvstore.Config{Topo: topo, MaxBatch: opt.batch, ValueMemory: opt.valueMem}
 	switch {
 	case e.NewExec != nil:
 		// Derived combining entry: rebuild it through WrapExec (the
@@ -661,7 +621,7 @@ func runBatchMix(opt options, topo *numa.Topology, getPct int) ([]record, error)
 					Placement: placement,
 					OpsPerSec: tp, Speedup: stats.Speedup(base, tp),
 					Batch: opt.batch, OpsPerAcq: opsPerAcq,
-					ValueMemory: opt.vmLabel(), IndexMemory: opt.imLabel(),
+					ValueMemory: opt.vmLabel(),
 				})
 				row = append(row, stats.F(stats.Speedup(base, tp), 2))
 				amortRow = append(amortRow, stats.F(opsPerAcq, 1))
@@ -788,7 +748,7 @@ func runAdaptive(opt options, topo *numa.Topology) ([]record, error) {
 						Placement: placement,
 						OpsPerSec: tp, Speedup: stats.Speedup(base, tp),
 						Batch: opt.batch, OpsPerAcq: opsPerAcq, Combiner: combiner,
-						ValueMemory: opt.vmLabel(), IndexMemory: opt.imLabel(),
+						ValueMemory: opt.vmLabel(),
 					})
 					row = append(row, stats.F(stats.Speedup(base, tp), 2))
 					amortRow = append(amortRow, stats.F(opsPerAcq, 1))
@@ -829,7 +789,7 @@ func runAdaptive(opt options, topo *numa.Topology) ([]record, error) {
 						Placement: placement,
 						OpsPerSec: tp, Speedup: stats.Speedup(base, tp),
 						Reads: opt.reads, ReadPath: path, Batch: opt.batch,
-						ValueMemory: opt.vmLabel(), IndexMemory: opt.imLabel(),
+						ValueMemory: opt.vmLabel(),
 					})
 					row = append(row, stats.F(stats.Speedup(base, tp), 2))
 					fmt.Fprintf(os.Stderr, "ran adaptive reads=%g %-14s %-9s threads=%-4d shards=%-3d %.0f ops/s\n",
@@ -863,7 +823,7 @@ func runAdaptive(opt options, topo *numa.Topology) ([]record, error) {
 					OpsPerSec: tp, Speedup: stats.Speedup(base, tp),
 					Batch: opt.batch, Combiner: "adaptive",
 					BatchMode: mode, AvgBatch: avgBatch,
-					ValueMemory: opt.vmLabel(), IndexMemory: opt.imLabel(),
+					ValueMemory: opt.vmLabel(),
 				})
 				row = append(row, stats.F(stats.Speedup(base, tp), 2))
 				if mode == "adaptive" {
@@ -996,13 +956,12 @@ const (
 )
 
 // measureChurn runs one memory-backend cell: the churn workload
-// against a fresh store with the given value and index backends,
+// against a fresh store with the given value backend,
 // returning the load result (allocs/op, GC pause, mark assist) and
 // the store's counters (spills).
-func measureChurn(opt options, topo *numa.Topology, e registry.Entry, threads, getPct, shards int, mem kvstore.ValueMemory, im kvstore.IndexMemory) (kvload.Result, kvstore.Stats, error) {
+func measureChurn(opt options, topo *numa.Topology, e registry.Entry, threads, getPct, shards int, mem kvstore.ValueMemory) (kvload.Result, kvstore.Stats, error) {
 	o := opt
 	o.valueMem = mem
-	o.indexMem = im
 	store := newStore(o, topo, e, shards)
 	kvload.PopulateClusters(store, topo, opt.keyspace, 128)
 	runtime.GC() // population litters the heap; keep GC out of the window
@@ -1012,29 +971,26 @@ func measureChurn(opt options, topo *numa.Topology, e registry.Entry, threads, g
 	cfg.Affinity = opt.affinity
 	cfg.ValueSize = churnValueSize
 	cfg.MaxValueSize = churnMaxValueSize
-	label := fmt.Sprintf("%s/%s/%s mix=%d%% threads=%d shards=%d", e.Name, mem, im, getPct, threads, shards)
+	label := fmt.Sprintf("%s/%s mix=%d%% threads=%d shards=%d", e.Name, mem, getPct, threads, shards)
 	res, err := runLoad(opt, store, cfg, label)
 	if err != nil {
-		return res, kvstore.Stats{}, fmt.Errorf("%s/%s/%s @%d x%d shards: %w", e.Name, mem, im, threads, shards, err)
+		return res, kvstore.Stats{}, fmt.Errorf("%s/%s @%d x%d shards: %w", e.Name, mem, threads, shards, err)
 	}
 	return res, store.Snapshot(), nil
 }
 
 // runChurn emits the memory-backend exhibit for one mix: per shard
-// count, a column per lock × value-memory × index-memory combination
-// with four tables — speedup over the heap/pointer pthread@1
-// baseline, Go heap allocations per operation, total GC pause over
-// the window, and GC mark-assist CPU time. An explicit -indexmem
-// restricts the index-mode sweep to that mode; by default both
-// pointer and compact run, which is the pointer-vs-compact GC
-// exhibit the compact layout is judged by.
+// count, a column per lock × value-memory combination with four
+// tables — speedup over the heap pthread@1 baseline, Go heap
+// allocations per operation, total GC pause over the window, and GC
+// mark-assist CPU time.
 func runChurn(opt options, topo *numa.Topology, getPct int) ([]record, error) {
-	baseRes, _, err := measureChurn(opt, topo, registry.MustLookup("pthread"), 1, getPct, 1, kvstore.ValueHeap, kvstore.IndexPointer)
+	baseRes, _, err := measureChurn(opt, topo, registry.MustLookup("pthread"), 1, getPct, 1, kvstore.ValueHeap)
 	if err != nil {
 		return nil, err
 	}
 	base := baseRes.Throughput()
-	fmt.Fprintf(os.Stderr, "churn mix %d%% gets, values %d..%dB: pthread@1 heap/pointer baseline %.0f ops/s, %.2f allocs/op\n",
+	fmt.Fprintf(os.Stderr, "churn mix %d%% gets, values %d..%dB: pthread@1 heap baseline %.0f ops/s, %.2f allocs/op\n",
 		getPct, churnValueSize, churnMaxValueSize, base, baseRes.AllocsPerOp())
 
 	entries := make([]registry.Entry, 0, len(opt.locks))
@@ -1049,20 +1005,6 @@ func runChurn(opt options, topo *numa.Topology, getPct int) ([]record, error) {
 		entries = append(entries, e)
 	}
 	modes := []kvstore.ValueMemory{kvstore.ValueHeap, kvstore.ValueArena}
-	imodes := []kvstore.IndexMemory{kvstore.IndexPointer, kvstore.IndexCompact}
-	if opt.indexMemSet {
-		imodes = []kvstore.IndexMemory{opt.indexMem}
-	}
-	// Column label per (value, index) combination: pointer columns keep
-	// the pre-compact "/heap" "/arena" names, compact columns append
-	// "+c" — "mcs/heap+c" — so old and new table layouts line up.
-	colSuffix := func(mem kvstore.ValueMemory, im kvstore.IndexMemory) string {
-		s := "/" + mem.String()
-		if im == kvstore.IndexCompact {
-			s += "+c"
-		}
-		return s
-	}
 
 	var records []record
 	for _, shards := range opt.shards {
@@ -1074,9 +1016,7 @@ func runChurn(opt options, topo *numa.Topology, getPct int) ([]record, error) {
 		headers := []string{"threads"}
 		for _, e := range entries {
 			for _, mem := range modes {
-				for _, im := range imodes {
-					headers = append(headers, e.Name+colSuffix(mem, im))
-				}
+				headers = append(headers, e.Name+"/"+mem.String())
 			}
 		}
 		tb := stats.NewTable(fmt.Sprintf("Value churn %s: speedup over pthread@1 heap%s", caption, suffix), headers...)
@@ -1090,34 +1030,32 @@ func runChurn(opt options, topo *numa.Topology, getPct int) ([]record, error) {
 			xRow := []string{fmt.Sprint(n)}
 			for _, e := range entries {
 				for _, mem := range modes {
-					for _, im := range imodes {
-						res, st, err := measureChurn(opt, topo, e, n, getPct, shards, mem, im)
-						if err != nil {
-							return nil, err
-						}
-						placement := opt.placement.String()
-						if shards <= 1 {
-							placement = "single"
-						}
-						tp := res.Throughput()
-						allocs := res.AllocsPerOp()
-						pause := float64(res.GCPauseNs) / 1e6
-						assist := float64(res.GCAssistNs) / 1e6
-						records = append(records, record{
-							Mix: getPct, Lock: e.Name, Threads: n, Shards: shards,
-							Placement: placement,
-							OpsPerSec: tp, Speedup: stats.Speedup(base, tp),
-							ValueMemory: mem.String(), IndexMemory: imLabel(im),
-							AllocsPerOp: &allocs, GCPauseMs: &pause, GCAssistMs: &assist,
-							Spills: st.Spills,
-						})
-						row = append(row, stats.F(stats.Speedup(base, tp), 2))
-						aRow = append(aRow, stats.F(allocs, 2))
-						gRow = append(gRow, stats.F(pause, 2))
-						xRow = append(xRow, stats.F(assist, 2))
-						fmt.Fprintf(os.Stderr, "ran churn mix=%d%% %-10s %-5s %-7s threads=%-4d shards=%-3d %.0f ops/s %.2f allocs/op %.2fms gc %.2fms assist (%d spills)\n",
-							getPct, e.Name, mem, im, n, shards, tp, allocs, pause, assist, st.Spills)
+					res, st, err := measureChurn(opt, topo, e, n, getPct, shards, mem)
+					if err != nil {
+						return nil, err
 					}
+					placement := opt.placement.String()
+					if shards <= 1 {
+						placement = "single"
+					}
+					tp := res.Throughput()
+					allocs := res.AllocsPerOp()
+					pause := float64(res.GCPauseNs) / 1e6
+					assist := float64(res.GCAssistNs) / 1e6
+					records = append(records, record{
+						Mix: getPct, Lock: e.Name, Threads: n, Shards: shards,
+						Placement: placement,
+						OpsPerSec: tp, Speedup: stats.Speedup(base, tp),
+						ValueMemory: mem.String(),
+						AllocsPerOp: &allocs, GCPauseMs: &pause, GCAssistMs: &assist,
+						Spills: st.Spills,
+					})
+					row = append(row, stats.F(stats.Speedup(base, tp), 2))
+					aRow = append(aRow, stats.F(allocs, 2))
+					gRow = append(gRow, stats.F(pause, 2))
+					xRow = append(xRow, stats.F(assist, 2))
+					fmt.Fprintf(os.Stderr, "ran churn mix=%d%% %-10s %-5s threads=%-4d shards=%-3d %.0f ops/s %.2f allocs/op %.2fms gc %.2fms assist (%d spills)\n",
+						getPct, e.Name, mem, n, shards, tp, allocs, pause, assist, st.Spills)
 				}
 			}
 			tb.AddRow(row...)
@@ -1175,7 +1113,7 @@ func measureRWComb(opt options, topo *numa.Topology, e registry.Entry, threads, 
 	base := registry.MustLookup(e.Base)
 	newRW := base.NewRW
 	var execs []locks.RWExecutor
-	cfg := kvstore.Config{Topo: topo, MaxBatch: opt.batch, ValueMemory: opt.valueMem, IndexMemory: opt.indexMem}
+	cfg := kvstore.Config{Topo: topo, MaxBatch: opt.batch, ValueMemory: opt.valueMem}
 	cfg.NewExec = func() locks.Executor {
 		x := e.WrapRWExec(topo, locks.CountRWAcquisitions(newRW(topo), &excl, &shared))
 		execs = append(execs, x)
@@ -1320,7 +1258,7 @@ func runRW(opt options, topo *numa.Topology) ([]record, error) {
 					OpsPerSec: tp, Speedup: stats.Speedup(base, tp),
 					Reads: opt.reads, ReadPath: path,
 					OpsPerAcq: opsPerAcq, ReadCombiner: combiner,
-					ValueMemory: opt.vmLabel(), IndexMemory: opt.imLabel(),
+					ValueMemory: opt.vmLabel(),
 				})
 				row = append(row, stats.F(stats.Speedup(base, tp), 2))
 				if c.comb {
@@ -1385,7 +1323,7 @@ func runMix(opt options, topo *numa.Topology, getPct int) ([]record, error) {
 					Mix: getPct, Lock: name, Threads: n, Shards: shards,
 					Placement: placement, Affinity: affinity,
 					OpsPerSec: tp, Speedup: stats.Speedup(base, tp),
-					ValueMemory: opt.vmLabel(), IndexMemory: opt.imLabel(),
+					ValueMemory: opt.vmLabel(),
 				})
 				row = append(row, stats.F(stats.Speedup(base, tp), 2))
 				fmt.Fprintf(os.Stderr, "ran mix=%d%% %-10s threads=%-4d shards=%-3d %.0f ops/s\n",

@@ -6,9 +6,8 @@
 // The engine underneath is the full stack the previous exhibits
 // measured: a sharded store guarded by any registry lock (-lock takes
 // the same names as kvbench, combining comb-* executors included),
-// cluster-affine shard placement, arena or heap value memory, pointer
-// or compact (slab-index) shard metadata, and the batched
-// MGet/MSet/MDelete APIs. Under an adaptive-combining lock
+// cluster-affine shard placement, arena or heap value memory, and the
+// batched Apply path. Under an adaptive-combining lock
 // (comb-a-*) a background sampler tracks peak per-shard combiner
 // occupancy, reported in the final stats line. One accept loop runs per simulated
 // NUMA cluster; every admitted connection owns one of that cluster's
@@ -64,7 +63,6 @@ func main() {
 		maxvalFlag   = flag.Int("maxval", server.DefaultMaxValueBytes, "largest accepted value in bytes")
 		maxbatchFlag = flag.Int("maxbatch", 0, "ops per critical section for pipelined flushes (default: the store's MaxBatch)")
 		valuememFlag = flag.String("valuemem", "heap", "value backend: heap or arena")
-		indexmemFlag = flag.String("indexmem", "pointer", "shard-metadata backend: pointer or compact (slab-resident items off the GC scan path)")
 		readTOFlag   = flag.Duration("read-timeout", 0, "per-request read deadline (default 2m)")
 		writeTOFlag  = flag.Duration("write-timeout", 0, "per-flush write deadline (default 30s)")
 		drainFlag    = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown bound before force-closing connections")
@@ -91,10 +89,6 @@ func main() {
 	if err != nil {
 		cli.Die(tool, err)
 	}
-	indexMem, err := cli.IndexMemory(*indexmemFlag)
-	if err != nil {
-		cli.Die(tool, err)
-	}
 
 	topo := numa.New(*clustersFlag, *procsFlag)
 	locking, err := kvstore.FromRegistry(topo, *lockFlag)
@@ -109,7 +103,6 @@ func main() {
 		Capacity:    *capFlag,
 		MaxBatch:    *maxbatchFlag,
 		ValueMemory: valueMem,
-		IndexMemory: indexMem,
 	})
 	srv, err := server.New(server.Config{
 		Topo:              topo,
@@ -142,8 +135,8 @@ func main() {
 	if connsPerCluster <= 0 || connsPerCluster > *procsFlag / *clustersFlag {
 		connsPerCluster = *procsFlag / *clustersFlag
 	}
-	fmt.Fprintf(os.Stderr, "kvserver: %s on %s — lock=%s shards=%d placement=%s clusters=%d conns/cluster<=%d valuemem=%s indexmem=%s\n",
-		server.DefaultVersion, *addrFlag, *lockFlag, *shardsFlag, placement, *clustersFlag, connsPerCluster, valueMem, indexMem)
+	fmt.Fprintf(os.Stderr, "kvserver: %s on %s — lock=%s shards=%d placement=%s clusters=%d conns/cluster<=%d valuemem=%s\n",
+		server.DefaultVersion, *addrFlag, *lockFlag, *shardsFlag, placement, *clustersFlag, connsPerCluster, valueMem)
 	serveErr := srv.ListenAndServe(*addrFlag)
 
 	st := srv.Snapshot()

@@ -133,8 +133,8 @@ func parseCells(data []byte) (map[string]cellMetrics, error) {
 const minAllocRegression = 0.5
 
 // minPauseRegression is the absolute GC-pause increase (ms) a flagged
-// pause regression must also clear, for the same reason: a compact/
-// arena cell whose pauses round to fractions of a millisecond can
+// pause regression must also clear, for the same reason: an arena
+// cell whose pauses round to fractions of a millisecond can
 // triple on a single background collection, and only the fractional
 // test would flag that noise as a regression.
 const minPauseRegression = 2.0

@@ -249,12 +249,12 @@ func TestWritePropagatesErrors(t *testing.T) {
 
 func TestDiffFlagsGCPauseRegressions(t *testing.T) {
 	oldJSON := []byte(`[
-	  {"lock":"mcs","index_memory":"compact","ops_per_sec":1000,"gc_pause_ms":4.0},
-	  {"lock":"cna","index_memory":"compact","ops_per_sec":1000,"gc_pause_ms":4.0}
+	  {"lock":"mcs","value_memory":"arena","ops_per_sec":1000,"gc_pause_ms":4.0},
+	  {"lock":"cna","value_memory":"arena","ops_per_sec":1000,"gc_pause_ms":4.0}
 	]`)
 	newJSON := []byte(`[
-	  {"lock":"mcs","index_memory":"compact","ops_per_sec":1000,"gc_pause_ms":12.0},
-	  {"lock":"cna","index_memory":"compact","ops_per_sec":1000,"gc_pause_ms":4.2}
+	  {"lock":"mcs","value_memory":"arena","ops_per_sec":1000,"gc_pause_ms":12.0},
+	  {"lock":"cna","value_memory":"arena","ops_per_sec":1000,"gc_pause_ms":4.2}
 	]`)
 	regs, compared, err := Diff(oldJSON, newJSON, 0)
 	if err != nil {

@@ -57,6 +57,37 @@ func TestHotPathAllocationFree(t *testing.T) {
 		t.Errorf("RandN: %.3f allocs/op, want 0", n)
 	}
 
+	// The single-op calls under combining executors post through the
+	// shard's prebuilt closure, so they allocate no more than under a
+	// plain lock. comb-rw-mcs runs Get in shared mode, with the
+	// deferred LRU touch on every TouchEvery-th hit.
+	for _, lock := range []string{"comb-a-c-bo-mcs", "comb-c-bo-mcs", "comb-rw-mcs"} {
+		src, err := kvstore.FromRegistry(topo, lock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := kvstore.New(kvstore.Config{Topo: topo, Locking: src, Shards: 8, Buckets: 1 << 12, Capacity: 1 << 13})
+		for k := uint64(0); k < 1000; k++ {
+			s.Set(p, k, val)
+		}
+		for k := uint64(0); k < 100; k++ { // ratchet the touch buffer
+			s.Get(p, k, dst)
+		}
+		i := 0
+		if n := testing.AllocsPerRun(2000, func() {
+			s.Set(p, uint64(i%1000), val[:sizes[i%len(sizes)]])
+			i++
+		}); n > 0 {
+			t.Errorf("%s Set: %.3f allocs/op at steady state, want 0", lock, n)
+		}
+		if n := testing.AllocsPerRun(2000, func() { s.Get(p, uint64(i%1000), dst); i++ }); n > 0 {
+			t.Errorf("%s Get: %.3f allocs/op, want 0", lock, n)
+		}
+		if n := testing.AllocsPerRun(2000, func() { s.Delete(p, uint64(i%1000)); i++ }); n > 0 {
+			t.Errorf("%s Delete: %.3f allocs/op, want 0", lock, n)
+		}
+	}
+
 	// The batch APIs on a multi-shard store, under a direct lock and
 	// under a combining executor: shard grouping runs in per-proc
 	// scratch and executor chunks post prebuilt closures, so neither

@@ -208,7 +208,9 @@ type execRec struct {
 	chunk []int
 	mode  recMode
 	run   func()
-	_     numa.Pad
+	// one is the op record of a single-op call (see Shard.postOne).
+	one [1]Op
+	_   numa.Pad
 }
 
 // recMode is what an execRec's closure runs.
@@ -244,6 +246,22 @@ func (s *Shard) post(p *numa.Proc, mode recMode, ops []Op, chunk []int) {
 		s.exec.Exec(p, r.run)
 	}
 	r.p, r.ops, r.chunk = nil, nil, nil
+}
+
+// oneChunk is the chunk of a single-op post: index 0 of execRec.one.
+var oneChunk = []int{0}
+
+// postOne runs op as one critical section through the executor seam,
+// in mode, and returns it with its results filled in. The op travels
+// in p's execRec, so a single Get, Set or Delete under an executor
+// allocates nothing, like a batch chunk.
+func (s *Shard) postOne(p *numa.Proc, mode recMode, op Op) Op {
+	r := &s.recs[p.ID()]
+	r.one[0] = op
+	s.post(p, mode, r.one[:], oneChunk)
+	op = r.one[0]
+	r.one[0] = Op{} // drop the reference to the caller's buffer
+	return op
 }
 
 // apply runs the ops named by idx (indices into ops, caller order) in

@@ -22,27 +22,25 @@ import (
 func TestApplyMatchesSequentialCalls(t *testing.T) {
 	for _, lock := range []string{"c-bo-mcs", "comb-a-c-bo-mcs", "rw-c-bo-mcs"} {
 		for _, vm := range []ValueMemory{ValueHeap, ValueArena} {
-			for _, im := range []IndexMemory{IndexPointer, IndexCompact} {
-				t.Run(fmt.Sprintf("%s/%s/%s", lock, vm, im), func(t *testing.T) {
-					topo := numa.New(2, 4)
-					capacity := 96
-					if lock == "rw-c-bo-mcs" {
-						capacity = 4096
+			t.Run(fmt.Sprintf("%s/%s/pointer", lock, vm), func(t *testing.T) {
+				topo := numa.New(2, 4)
+				capacity := 96
+				if lock == "rw-c-bo-mcs" {
+					capacity = 4096
+				}
+				build := func() *Store {
+					src, err := FromRegistry(topo, lock)
+					if err != nil {
+						t.Fatal(err)
 					}
-					build := func() *Store {
-						src, err := FromRegistry(topo, lock)
-						if err != nil {
-							t.Fatal(err)
-						}
-						return New(Config{
-							Topo: topo, Locking: src, Shards: 4, MaxBatch: 4, Capacity: capacity,
-							TouchEvery: 2, ValueMemory: vm, IndexMemory: im, ArenaBytes: 1 << 16,
-						})
-					}
-					applied, sequential := build(), build()
-					checkApplyAgainstCalls(t, topo, applied, sequential, 6000, 1)
-				})
-			}
+					return New(Config{
+						Topo: topo, Locking: src, Shards: 4, MaxBatch: 4, Capacity: capacity,
+						TouchEvery: 2, ValueMemory: vm, ArenaBytes: 1 << 16,
+					})
+				}
+				applied, sequential := build(), build()
+				checkApplyAgainstCalls(t, topo, applied, sequential, 6000, 1)
+			})
 		}
 	}
 }
@@ -96,10 +94,7 @@ func checkApplyAgainstCalls(t *testing.T, topo *numa.Topology, applied, sequenti
 	}
 	p := topo.Proc(0)
 	for _, st := range []*Store{applied, sequential} {
-		if err := st.checkLRU(); err != nil {
-			t.Fatal(err)
-		}
-		if err := st.CompactCheck(); err != nil {
+		if err := st.checkIndex(); err != nil {
 			t.Fatal(err)
 		}
 		if err := st.ArenaCheck(p); err != nil {

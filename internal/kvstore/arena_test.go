@@ -96,7 +96,7 @@ func TestArenaChurnProperty(t *testing.T) {
 			if err := s.ArenaCheck(p); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.checkLRU(); err != nil {
+			if err := s.checkIndex(); err != nil {
 				t.Fatal(err)
 			}
 			// Flush + Fsck passed; additionally prove the allocator's
@@ -288,7 +288,7 @@ func TestArenaRace(t *testing.T) {
 			if err := s.ArenaCheck(p); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.checkLRU(); err != nil {
+			if err := s.checkIndex(); err != nil {
 				t.Fatal(err)
 			}
 		})

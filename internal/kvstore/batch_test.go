@@ -195,7 +195,7 @@ func TestBatchedStoreMatchesSequential(t *testing.T) {
 	if bs != ss {
 		t.Fatalf("stats diverge: batched %+v, sequential %+v", bs, ss)
 	}
-	if err := batched.checkLRU(); err != nil {
+	if err := batched.checkIndex(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -255,7 +255,7 @@ func TestExecStoreMatchesDirect(t *testing.T) {
 	if !exec.Delete(p, 0) || exec.Delete(p, uint64(n+5)) {
 		t.Fatal("Delete through the executor seam misreported presence")
 	}
-	if err := exec.checkLRU(); err != nil {
+	if err := exec.checkIndex(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -304,7 +304,7 @@ func TestExecStoreConcurrent(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if err := s.checkLRU(); err != nil {
+	if err := s.checkIndex(); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Snapshot()

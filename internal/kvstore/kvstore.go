@@ -165,50 +165,6 @@ func ParseValueMemory(s string) (ValueMemory, error) {
 	return 0, fmt.Errorf("kvstore: unknown value memory %q (want heap or arena)", s)
 }
 
-// IndexMemory selects where shard index metadata — the items
-// themselves and every intra-shard link (hash chains, LRU prev/next,
-// free list) — lives. It is the metadata twin of the ValueMemory seam:
-// ValueMemory moves value bytes off the GC heap; IndexMemory moves the
-// structure that finds them.
-type IndexMemory int
-
-const (
-	// IndexPointer keeps items as individual GC allocations linked by
-	// Go pointers and the hash table as []*item — the original layout,
-	// byte for byte. GC mark work scales with the live item count: a
-	// 10M-key store is 10M scanned objects holding 30M+ pointers.
-	IndexPointer IndexMemory = iota
-	// IndexCompact re-homes each shard's items in chunked pointer-free
-	// slabs ([]citem, 32 bytes each) and turns every link into a uint32
-	// slab index; the hash table becomes []uint32. The element type
-	// contains no pointers, so the runtime allocates the slabs noscan
-	// and the collector skips the whole index: GC scan cost becomes
-	// O(shards + chunks) instead of O(keys). Values follow ValueMemory
-	// as before (arena blocks by offset, or a lazily allocated heap
-	// side table for heap-resident values). Index 0 is the reserved nil
-	// slot, mirroring arena offset 0. See slab.go.
-	IndexCompact
-)
-
-// String names the index-memory mode for tool output.
-func (m IndexMemory) String() string {
-	if m == IndexCompact {
-		return "compact"
-	}
-	return "pointer"
-}
-
-// ParseIndexMemory maps a flag value to an IndexMemory.
-func ParseIndexMemory(s string) (IndexMemory, error) {
-	switch s {
-	case "pointer":
-		return IndexPointer, nil
-	case "compact":
-		return IndexCompact, nil
-	}
-	return 0, fmt.Errorf("kvstore: unknown index memory %q (want pointer or compact)", s)
-}
-
 // Config parameterizes a Store.
 type Config struct {
 	// Topo sizes per-proc statistics and the metadata cache domains.
@@ -286,14 +242,12 @@ type Config struct {
 	// Cache sets the metadata-line latencies (cachesim semantics).
 	Cache cachesim.Config
 	// ItemNs are the latencies charged for touching an item whose last
-	// toucher was the same / another cluster. Defaults 25/100 ns.
+	// toucher was the same / another cluster. Defaults to the local and
+	// remote latencies of cachesim.DefaultConfig (50/600 ns).
 	ItemLocalNs, ItemRemoteNs int64
 	// ValueMemory selects where value bytes live: the GC heap
 	// (default) or per-shard arenas (ValueArena).
 	ValueMemory ValueMemory
-	// IndexMemory selects where index metadata lives: pointer-linked
-	// GC allocations (default) or pointer-free slabs (IndexCompact).
-	IndexMemory IndexMemory
 	// ArenaBytes is the total arena capacity under ValueArena, split
 	// evenly across shards like Capacity (with a small per-shard
 	// floor). Default 64 MiB. Ignored under ValueHeap.
@@ -389,7 +343,6 @@ type Store struct {
 	topo      *numa.Topology
 	placement Placement
 	valueMem  ValueMemory
-	indexMem  IndexMemory
 	shards    []*Shard
 	homes     []int   // shard index -> home cluster
 	groups    [][]int // cluster -> indices of shards homed there
@@ -435,7 +388,6 @@ func New(cfg Config) *Store {
 		topo:      cfg.Topo,
 		placement: cfg.Placement,
 		valueMem:  cfg.ValueMemory,
-		indexMem:  cfg.IndexMemory,
 		shards:    make([]*Shard, cfg.Shards),
 		homes:     make([]int, cfg.Shards),
 		groups:    make([][]int, cfg.Topo.Clusters()),
@@ -447,16 +399,15 @@ func New(cfg Config) *Store {
 	}
 	for i := range s.shards {
 		sc := shardConfig{
-			topo:         cfg.Topo,
-			maxBatch:     cfg.MaxBatch,
-			touchEvery:   uint64(cfg.TouchEvery),
-			buckets:      perBuckets,
-			capacity:     perCapacity,
-			cache:        cfg.Cache,
-			itemLocal:    cfg.ItemLocalNs,
-			itemRemote:   cfg.ItemRemoteNs,
-			arenaBytes:   perArena,
-			compactIndex: cfg.IndexMemory == IndexCompact,
+			topo:       cfg.Topo,
+			maxBatch:   cfg.MaxBatch,
+			touchEvery: uint64(cfg.TouchEvery),
+			buckets:    perBuckets,
+			capacity:   perCapacity,
+			cache:      cfg.Cache,
+			itemLocal:  cfg.ItemLocalNs,
+			itemRemote: cfg.ItemRemoteNs,
+			arenaBytes: perArena,
 		}
 		if newExec != nil {
 			sc.exec = newExec()
@@ -553,9 +504,6 @@ func (s *Store) Placement() Placement { return s.placement }
 
 // ValueMemory reports where value bytes live.
 func (s *Store) ValueMemory() ValueMemory { return s.valueMem }
-
-// IndexMemory reports where index metadata lives.
-func (s *Store) IndexMemory() IndexMemory { return s.indexMem }
 
 // ShardOccupancy reports shard i's executor in-flight request estimate
 // and whether the shard tracks one at all — true only for shards
@@ -655,23 +603,11 @@ func (s *Store) ShardSnapshot(i int) Stats {
 	return s.shards[i].Snapshot()
 }
 
-// checkLRU validates every shard's list integrity; tests use it.
-func (s *Store) checkLRU() error {
+// checkIndex validates every shard's index (see Shard.checkIndex);
+// tests use it.
+func (s *Store) checkIndex() error {
 	for i, sh := range s.shards {
-		if err := sh.checkLRU(); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// CompactCheck validates every compact shard's slab accounting (live
-// items + free slots == slab slots in use, no index cycles); a no-op
-// under IndexPointer. Quiescent callers only (tests, end-of-run
-// checks).
-func (s *Store) CompactCheck() error {
-	for i, sh := range s.shards {
-		if err := sh.compactCheck(); err != nil {
+		if err := sh.checkIndex(); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
 	}

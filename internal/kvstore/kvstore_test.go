@@ -105,7 +105,7 @@ func TestDelete(t *testing.T) {
 	if s.Len(p) != 0 {
 		t.Fatal("Len after delete != 0")
 	}
-	if err := s.checkLRU(); err != nil {
+	if err := s.checkIndex(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -133,7 +133,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 	if st.Evictions != 1 {
 		t.Fatalf("Evictions = %d, want 1", st.Evictions)
 	}
-	if err := s.checkLRU(); err != nil {
+	if err := s.checkIndex(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -150,7 +150,7 @@ func TestEvictedItemsRecycled(t *testing.T) {
 	if s.shards[0].free == nil {
 		t.Fatal("evicted items not pooled")
 	}
-	if err := s.checkLRU(); err != nil {
+	if err := s.checkIndex(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -208,7 +208,7 @@ func TestMatchesMapModel(t *testing.T) {
 				delete(model, key)
 			}
 		}
-		return s.checkLRU() == nil && s.Len(p) == len(model)
+		return s.checkIndex() == nil && s.Len(p) == len(model)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
@@ -249,7 +249,7 @@ func TestConcurrentMixedOps(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if err := s.checkLRU(); err != nil {
+	if err := s.checkIndex(); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Snapshot()

@@ -280,10 +280,10 @@ func TestReadCombinedMGetSequentialEquivalence(t *testing.T) {
 	if gotStats != wantStats {
 		t.Fatalf("stats diverged:\n shared-chunk:  %+v\n read-combined: %+v", wantStats, gotStats)
 	}
-	if err := base.checkLRU(); err != nil {
+	if err := base.checkIndex(); err != nil {
 		t.Fatal(err)
 	}
-	if err := comb.checkLRU(); err != nil {
+	if err := comb.checkIndex(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -380,7 +380,7 @@ func TestReadCombinedConcurrentWithWriters(t *testing.T) {
 	if bad.Load() != 0 {
 		t.Fatalf("read-combined batched readers observed %d torn values", bad.Load())
 	}
-	if err := s.checkLRU(); err != nil {
+	if err := s.checkIndex(); err != nil {
 		t.Fatal(err)
 	}
 }

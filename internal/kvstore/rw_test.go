@@ -120,7 +120,7 @@ func TestRWTouchPolicy(t *testing.T) {
 	if _, ok := s.Get(p, 1, dst); ok {
 		t.Fatal("un-bumped key survived: shared Get mutated the LRU")
 	}
-	if err := s.checkLRU(); err != nil {
+	if err := s.checkIndex(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -189,7 +189,7 @@ func TestRWConcurrentReadersWriter(t *testing.T) {
 	if bad.Load() != 0 {
 		t.Fatalf("readers observed %d torn values", bad.Load())
 	}
-	if err := s.checkLRU(); err != nil {
+	if err := s.checkIndex(); err != nil {
 		t.Fatal(err)
 	}
 }

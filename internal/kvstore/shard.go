@@ -78,9 +78,6 @@ type shardConfig struct {
 	// arenaBytes > 0 selects ValueArena: the shard owns an unguarded
 	// arena of this capacity for its value bytes.
 	arenaBytes int
-	// compactIndex selects IndexCompact: items live in pointer-free
-	// slabs and all index links are uint32 slab indices (see slab.go).
-	compactIndex bool
 }
 
 // Shard is one independently locked slice of the store: a chained hash
@@ -115,22 +112,15 @@ type Shard struct {
 	// shared read path. False for exclusive locks adapted via
 	// locks.RWFromMutex and for exclusive-only executors, whose Gets
 	// keep the pre-RW exclusive path byte for byte.
-	sharedReads bool
-	touchEvery  uint64
-	mask        uint64
-	buckets     []*item
-	head        *item // MRU
-	tail        *item // LRU victim
-	count       int
-	capacity    int
-	free        *item // recycled items (chained via hnext)
-	// compact, when non-nil, replaces the pointer-linked index state
-	// above (buckets/head/tail/free) with slab-resident items linked by
-	// uint32 indices — IndexCompact mode. Every operation's critical
-	// section dispatches on it once; the locking discipline is
-	// unchanged because mutations already run single-writer and shared
-	// readers only follow links.
-	compact               *compactShard
+	sharedReads           bool
+	touchEvery            uint64
+	mask                  uint64
+	buckets               []*item
+	head                  *item // MRU
+	tail                  *item // LRU victim
+	count                 int
+	capacity              int
+	free                  *item // recycled items (chained via hnext)
 	domain                *cachesim.Domain
 	slots                 []opSlot
 	itemLocal, itemRemote int64
@@ -173,6 +163,7 @@ func newShard(cfg shardConfig) *Shard {
 		sharedReads: sharedReads,
 		touchEvery:  cfg.touchEvery,
 		mask:        uint64(cfg.buckets - 1),
+		buckets:     make([]*item, cfg.buckets),
 		capacity:    cfg.capacity,
 		domain:      cachesim.NewDomain(cfg.topo, numLines, cfg.cache),
 		slots:       make([]opSlot, cfg.topo.MaxProcs()),
@@ -185,11 +176,6 @@ func newShard(cfg shardConfig) *Shard {
 			r := &s.recs[i]
 			r.run = func() { s.runRec(r) }
 		}
-	}
-	if cfg.compactIndex {
-		s.compact = newCompactShard(cfg.buckets)
-	} else {
-		s.buckets = make([]*item, cfg.buckets)
 	}
 	if cfg.arenaBytes > 0 {
 		a, err := alloc.New(alloc.Config{
@@ -323,7 +309,8 @@ func (s *Shard) Get(p *numa.Proc, key uint64, dst []byte) (int, bool) {
 		// Re-find under exclusive mode: the item may have been evicted
 		// or deleted between the shared read and this upgrade.
 		if s.rwexec != nil {
-			s.exec.Exec(p, func() { s.touchKey(p, key) })
+			slot.touch = append(slot.touch[:0], key)
+			s.post(p, recTouch, nil, nil)
 		} else {
 			s.lock.Lock(p)
 			s.touchKey(p, key)
@@ -336,15 +323,11 @@ func (s *Shard) Get(p *numa.Proc, key uint64, dst []byte) (int, bool) {
 // getSharedCS runs one get's shared-mode section under the shard's
 // read seam. The hash-bucket walk and value copy only read item state;
 // writers (Set/Delete and Get's deferred LRU bump) hold exclusive
-// mode, so no mutation can overlap shared mode. Like getExclusiveCS,
-// the closure-posting branch keeps its captured results local so the
-// plain-lock path stays allocation-free.
+// mode, so no mutation can overlap shared mode.
 func (s *Shard) getSharedCS(p *numa.Proc, key uint64, dst []byte) (int, bool) {
 	if s.rwexec != nil {
-		var n int
-		var hit bool
-		s.rwexec.ExecShared(p, func() { n, hit = s.readValue(key, dst) })
-		return n, hit
+		op := s.postOne(p, recRead, Op{Kind: OpGet, Key: key, Val: dst})
+		return op.N, op.Found
 	}
 	s.lock.RLock(p)
 	n, hit := s.readValue(key, dst)
@@ -352,17 +335,10 @@ func (s *Shard) getSharedCS(p *numa.Proc, key uint64, dst []byte) (int, bool) {
 	return n, hit
 }
 
-// readValue looks up key and copies its value into dst — the layout
-// dispatch shared by the shared-mode read paths (Get and mgetShared).
-// Callers hold at least shared mode; nothing here mutates the shard.
+// readValue looks up key and copies its value into dst — the lookup
+// shared by the shared-mode read paths (Get and readChunk). Callers
+// hold at least shared mode; nothing here mutates the shard.
 func (s *Shard) readValue(key uint64, dst []byte) (int, bool) {
-	if s.compact != nil {
-		i := s.cfind(key)
-		if i == nilIdx {
-			return 0, false
-		}
-		return copy(dst, s.cvalue(i, s.compact.at(i))), true
-	}
 	it := s.find(key)
 	if it == nil {
 		return 0, false
@@ -375,13 +351,6 @@ func (s *Shard) readValue(key uint64, dst []byte) (int, bool) {
 // brief exclusive upgrade. A vanished key (evicted or deleted since
 // the shared read) is a no-op. Callers hold exclusive mode.
 func (s *Shard) touchKey(p *numa.Proc, key uint64) {
-	if s.compact != nil {
-		if i := s.cfind(key); i != nilIdx {
-			s.ctouchItem(p, s.compact.at(i))
-			s.clruFront(i)
-		}
-		return
-	}
 	if it := s.find(key); it != nil {
 		s.touchItem(p, it)
 		s.lruFront(it)
@@ -408,17 +377,11 @@ func (s *Shard) getExclusive(p *numa.Proc, key uint64, dst []byte) (int, bool) {
 }
 
 // getExclusiveCS runs one get's critical section under the shard's
-// exclusion seam. The closure-posting exec branch declares its result
-// variables inside the branch: hoisted to the top of the function they
-// would be captured by an escaping closure and heap-allocated on every
-// call, putting two Go allocations on the plain-lock read path that
-// the allocs/op columns would misattribute to value memory.
+// exclusion seam.
 func (s *Shard) getExclusiveCS(p *numa.Proc, key uint64, dst []byte) (int, bool) {
 	if s.exec != nil {
-		var n int
-		var hit bool
-		s.exec.Exec(p, func() { n, hit = s.applyGet(p, key, dst) })
-		return n, hit
+		op := s.postOne(p, recApply, Op{Kind: OpGet, Key: key, Val: dst})
+		return op.N, op.Found
 	}
 	s.lock.Lock(p)
 	n, hit := s.applyGet(p, key, dst)
@@ -430,9 +393,6 @@ func (s *Shard) getExclusiveCS(p *numa.Proc, key uint64, dst []byte) (int, bool)
 // bump and value copy. Callers hold the shard's exclusion (the lock,
 // or the executor's combiner); statistics stay outside.
 func (s *Shard) applyGet(p *numa.Proc, key uint64, dst []byte) (int, bool) {
-	if s.compact != nil {
-		return s.capplyGet(p, key, dst)
-	}
 	// The hash-bucket walk is read-only: read-shared lines replicate
 	// across caches without coherence misses, so no charge applies.
 	it := s.find(key)
@@ -454,7 +414,7 @@ func (s *Shard) applyGet(p *numa.Proc, key uint64, dst []byte) (int, bool) {
 func (s *Shard) Set(p *numa.Proc, key uint64, val []byte) {
 	slot := &s.slots[p.ID()]
 	if s.exec != nil {
-		s.exec.Exec(p, func() { s.applySet(p, key, val) })
+		s.postOne(p, recApply, Op{Kind: OpSet, Key: key, Val: val})
 	} else {
 		s.lock.Lock(p)
 		s.applySet(p, key, val)
@@ -467,10 +427,6 @@ func (s *Shard) Set(p *numa.Proc, key uint64, val []byte) {
 // exclusion. The per-proc sets counter stays outside; evictions are
 // charged inside (they are part of the guarded structural change).
 func (s *Shard) applySet(p *numa.Proc, key uint64, val []byte) {
-	if s.compact != nil {
-		s.capplySet(p, key, val)
-		return
-	}
 	slot := &s.slots[p.ID()]
 	it := s.find(key)
 	if it == nil {
@@ -518,12 +474,8 @@ func (s *Shard) applySet(p *numa.Proc, key uint64, val []byte) {
 
 // Delete removes key, returning whether it was present.
 func (s *Shard) Delete(p *numa.Proc, key uint64) bool {
-	// Like getExclusiveCS, the exec branch keeps its captured result
-	// local so the plain-lock path stays allocation-free.
 	if s.exec != nil {
-		var ok bool
-		s.exec.Exec(p, func() { ok = s.applyDelete(p, key) })
-		return ok
+		return s.postOne(p, recApply, Op{Kind: OpDelete, Key: key}).Found
 	}
 	s.lock.Lock(p)
 	ok := s.applyDelete(p, key)
@@ -534,9 +486,6 @@ func (s *Shard) Delete(p *numa.Proc, key uint64) bool {
 // applyDelete is a delete's critical section; callers hold the
 // shard's exclusion.
 func (s *Shard) applyDelete(p *numa.Proc, key uint64) bool {
-	if s.compact != nil {
-		return s.capplyDelete(p, key)
-	}
 	it := s.find(key)
 	if it == nil {
 		return false
@@ -691,17 +640,9 @@ func (s *Shard) arenaCheck(p *numa.Proc) error {
 		return err
 	}
 	backed := 0
-	if cs := s.compact; cs != nil {
-		for i := cs.head; i != nilIdx; i = cs.at(i).next {
-			if cs.at(i).off != 0 {
-				backed++
-			}
-		}
-	} else {
-		for it := s.head; it != nil; it = it.next {
-			if it.off != 0 {
-				backed++
-			}
+	for it := s.head; it != nil; it = it.next {
+		if it.off != 0 {
+			backed++
 		}
 	}
 	if live := s.arena.LiveBlocks(); live != backed {
@@ -751,28 +692,57 @@ func (s *Shard) Snapshot() Stats {
 	return st
 }
 
-// checkLRU validates list integrity; tests use it.
-func (s *Shard) checkLRU() error {
-	if s.compact != nil {
-		return s.ccheckLRU()
-	}
-	seen := 0
+// checkIndex validates the shard's index; tests use it. The LRU list
+// links both ways and holds exactly count items; the hash chains hold
+// exactly those items, each in its own bucket, with no cycle; the free
+// list is acyclic and shares no item with the LRU list. Quiescent
+// callers only.
+func (s *Shard) checkIndex() error {
+	live := make(map[*item]bool, s.count)
 	var prev *item
 	for it := s.head; it != nil; it = it.next {
 		if it.prev != prev {
 			return fmt.Errorf("kvstore: broken prev link at %d", it.key)
 		}
-		prev = it
-		seen++
-		if seen > s.count {
+		if live[it] || len(live) == s.count {
 			return fmt.Errorf("kvstore: LRU longer than count %d", s.count)
 		}
+		live[it] = true
+		prev = it
 	}
 	if s.tail != prev {
 		return fmt.Errorf("kvstore: tail mismatch")
 	}
-	if seen != s.count {
-		return fmt.Errorf("kvstore: LRU has %d items, count %d", seen, s.count)
+	if len(live) != s.count {
+		return fmt.Errorf("kvstore: LRU has %d items, count %d", len(live), s.count)
+	}
+	chained := make(map[*item]bool, s.count)
+	for b, head := range s.buckets {
+		for it := head; it != nil; it = it.hnext {
+			if chained[it] {
+				return fmt.Errorf("kvstore: hash chain %d revisits key %d — cycle", b, it.key)
+			}
+			if !live[it] {
+				return fmt.Errorf("kvstore: hash chain %d holds key %d, which is not in the LRU list", b, it.key)
+			}
+			if s.hash(it.key) != uint64(b) {
+				return fmt.Errorf("kvstore: key %d chained in bucket %d, hashes to %d", it.key, b, s.hash(it.key))
+			}
+			chained[it] = true
+		}
+	}
+	if len(chained) != s.count {
+		return fmt.Errorf("kvstore: hash chains hold %d items, count %d", len(chained), s.count)
+	}
+	free := map[*item]bool{}
+	for it := s.free; it != nil; it = it.hnext {
+		if free[it] {
+			return fmt.Errorf("kvstore: free list revisits an item — cycle")
+		}
+		if live[it] {
+			return fmt.Errorf("kvstore: key %d is both live and free", it.key)
+		}
+		free[it] = true
 	}
 	return nil
 }

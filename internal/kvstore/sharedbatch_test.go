@@ -188,7 +188,7 @@ func TestSharedMGetMatchesSequentialGets(t *testing.T) {
 	if m := after.Misses - before.Misses; m != wantMisses {
 		t.Errorf("Misses counted %d, want %d", m, wantMisses)
 	}
-	if err := s.checkLRU(); err != nil {
+	if err := s.checkIndex(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -233,7 +233,7 @@ func TestSharedMGetTouchPolicy(t *testing.T) {
 	if _, ok := s.Get(p, 1, dst); ok {
 		t.Fatal("un-bumped key survived: shared MGet mutated the LRU")
 	}
-	if err := s.checkLRU(); err != nil {
+	if err := s.checkIndex(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -381,7 +381,7 @@ func TestSharedMGetConcurrentWithWriters(t *testing.T) {
 	if bad.Load() != 0 {
 		t.Fatalf("batched shared readers observed %d torn values", bad.Load())
 	}
-	if err := s.checkLRU(); err != nil {
+	if err := s.checkIndex(); err != nil {
 		t.Fatal(err)
 	}
 }

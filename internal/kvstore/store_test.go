@@ -38,7 +38,7 @@ func TestShardedRoundTrip(t *testing.T) {
 				t.Fatalf("%v: key %d round-trip failed (%v, %q)", placement, k, ok, dst[:n])
 			}
 		}
-		if err := s.checkLRU(); err != nil {
+		if err := s.checkIndex(); err != nil {
 			t.Fatalf("%v: %v", placement, err)
 		}
 	}
@@ -80,7 +80,7 @@ func TestTotalCapacitySplit(t *testing.T) {
 			t.Errorf("shard %d: %d items over per-shard capacity %d", i, n, sh.Capacity())
 		}
 	}
-	if err := s.checkLRU(); err != nil {
+	if err := s.checkIndex(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -255,7 +255,7 @@ func TestShardedConcurrentOps(t *testing.T) {
 			}(i)
 		}
 		wg.Wait()
-		if err := s.checkLRU(); err != nil {
+		if err := s.checkIndex(); err != nil {
 			t.Fatalf("%v: %v", placement, err)
 		}
 		st := s.Snapshot()

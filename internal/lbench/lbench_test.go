@@ -1,6 +1,7 @@
 package lbench
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -90,9 +91,25 @@ func TestSingleThreadNoMigrationsAfterFirst(t *testing.T) {
 	}
 }
 
+// oneProcessor runs the rest of t with GOMAXPROCS 1, for the tests that
+// compare how often two locks migrate. With more spinning workers than
+// processors, a run's migration rate depends on which workers the Go
+// scheduler keeps on the processors, and that seating tends to last
+// for much of the run: on a 2-CPU host two workers of different
+// clusters could hold both processors and trade the cohort lock's
+// global lock, or one worker re-acquire fair MCS alone, and about one
+// run in ten read the two locks in the wrong order. With one processor
+// only one worker runs at a time, the next to run is the waiter the
+// lock wakes, and the comparison reads the same on any core count.
+func oneProcessor(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 func TestCohortLockMigratesLessThanMCS(t *testing.T) {
 	// The load-bearing behavioural claim: under multi-cluster
 	// contention a cohort lock migrates far less than fair MCS.
+	oneProcessor(t)
 	topo := numa.New(4, 16)
 	cfg := quickCfg(topo, 16)
 	cfg.Duration = 150 * time.Millisecond
@@ -116,6 +133,7 @@ func TestCohortLockMigratesLessThanMCS(t *testing.T) {
 }
 
 func TestMissesTrackMigrations(t *testing.T) {
+	oneProcessor(t)
 	topo := numa.New(4, 16)
 	cfg := quickCfg(topo, 16)
 	cfg.Duration = 150 * time.Millisecond

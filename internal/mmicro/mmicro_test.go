@@ -1,6 +1,7 @@
 package mmicro
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -102,9 +103,17 @@ func TestRunUnderCohortLock(t *testing.T) {
 func TestCohortReusesLocallyMoreThanMCS(t *testing.T) {
 	// The Table 2 mechanism: cohort batching keeps recycled blocks in
 	// the allocating cluster, so its remote-reuse rate must be lower.
+	// As in lbench's lock comparisons, it runs on one processor, so
+	// the next worker to run is the waiter the lock wakes rather than
+	// whichever workers the scheduler keeps on the processors: with
+	// more spinning workers than processors, about one run in ten read
+	// the two locks in the wrong order on a 2-CPU host. On one
+	// processor fair MCS hands off across clusters less often, so the
+	// window is long enough for every run to see some remote reuse.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	topo := numa.New(4, 16)
 	cfg := fastCfg(topo, 16)
-	cfg.Duration = 150 * time.Millisecond
+	cfg.Duration = 300 * time.Millisecond
 	mcs, err := Run(cfg, locks.NewMCS(topo))
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/kvload"
 	"repro/internal/kvstore"
 	"repro/internal/numa"
 )
@@ -37,10 +36,10 @@ type Config struct {
 	// Capped by the topology's procs per cluster, which is also the
 	// default.
 	ConnsPerCluster int
-	// MaxBatch is the flush bound of a connection's pipelined run,
-	// aligned to the store's MaxBatch (the default) so a burst of N
-	// ops costs ceil(N/MaxBatch) shard acquisitions. The hill-climbing
-	// sizer walks below it when observed service time degrades.
+	// MaxBatch is the flush bound of a connection's pipelined run:
+	// a burst flushes as one store call once it holds MaxBatch ops.
+	// Aligned to the store's MaxBatch (the default) so a burst of N
+	// same-shard ops costs ceil(N/MaxBatch) shard acquisitions.
 	MaxBatch int
 	// MaxValueBytes caps accepted set values (DoS bound; also sizes
 	// the per-connection response buffers). Default 64 KiB.
@@ -577,8 +576,6 @@ type conn struct {
 	par *Parser
 	w   *bufio.Writer
 
-	sizer *kvload.BatchSizer
-
 	// The pending burst: one store op record per get key, set and
 	// delete, in request order, with its reply metadata at the same
 	// index. keys is the arena the gets' key bytes are copied into
@@ -617,7 +614,7 @@ var crlf = []byte("\r\n")
 
 // serveConn runs one connection's decode loop: parse every pipelined
 // request into the pending burst, and flush the burst when it reaches
-// the sizer's batch bound or the memory bound, when the reader has no
+// Config.MaxBatch ops or the memory bound, when the reader has no
 // more pipelined bytes, or before a non-data verb or an error line.
 // Responses for a burst are written only after its store call returns.
 func (s *Server) serveConn(nc net.Conn, p *numa.Proc) {
@@ -635,7 +632,6 @@ func (s *Server) newConn(nc net.Conn, p *numa.Proc) *conn {
 		p:      p,
 		par:    NewParser(bufio.NewReaderSize(nc, readerBufBytes), Limits{MaxValueBytes: s.cfg.MaxValueBytes}),
 		w:      bufio.NewWriterSize(nc, writerBufBytes),
-		sizer:  kvload.NewBatchSizerAt(mb, mb),
 		ops:    make([]kvstore.Op, 0, mb),
 		meta:   make([]opMeta, 0, mb),
 		bufs:   make([][]byte, 0, mb),
@@ -740,7 +736,7 @@ func (c *conn) loop() {
 			c.finish()
 			return
 		}
-		if len(c.ops) >= c.sizer.Size() || c.pendingBytes >= c.srv.cfg.ConnMemoryBytes {
+		if len(c.ops) >= c.srv.cfg.MaxBatch || c.pendingBytes >= c.srv.cfg.ConnMemoryBytes {
 			c.flushOps()
 		}
 		if c.par.Buffered() == 0 {
@@ -853,16 +849,12 @@ func (c *conn) flushOps() {
 }
 
 // applyOps runs the pending burst through the store and answers every
-// op. The store call is timed for the sizer: if per-op service time
-// degrades (shards contended, batches outgrowing amortization),
-// subsequent flushes shrink.
+// op.
 func (c *conn) applyOps() {
 	if c.srv.cfg.Broken == BrokenDropAckedWrite {
 		c.brokenDropSets()
 	}
-	began := time.Now()
 	c.srv.store.Apply(c.p, c.ops)
-	c.sizer.Observe(len(c.ops), time.Since(began))
 	c.flushes++
 	for i := range c.ops {
 		op, m := &c.ops[i], &c.meta[i]
@@ -913,8 +905,6 @@ func (c *conn) shedOps() {
 			c.writeLine("SERVER_ERROR busy")
 		}
 	}
-	// Deliberately no sizer.Observe: a refusal says nothing about
-	// store service time.
 	c.shedded += uint64(len(c.ops))
 }
 
