@@ -352,41 +352,54 @@ func execTrialOpsPerSec(topo *numa.Topology, x locks.Executor, threads int) floa
 
 // BenchmarkCombining races each headline lock's combining executors —
 // fixed-constant (comb) and load-adaptive (comb-a) — against the same
-// lock driven one-acquisition-per-op (ExecFromMutex), at the
-// high-contention point: the delegated-execution analogue of Figure 2.
-// Every variant's underlying lock carries an acquisition counter, so
+// lock driven one-acquisition-per-op (ExecFromMutex), in two shapes:
+// contended, the high-contention point and the delegated-execution
+// analogue of Figure 2; and lone, one proc per cluster on two
+// clusters, where no same-cluster batch can form and a combining
+// executor should cost what its lock costs. (With GOMAXPROCS of five
+// or less, contended runs four posters on four clusters: one proc per
+// cluster too, and more posters than processors below four.) Every
+// variant's underlying lock carries an acquisition counter, so
 // alongside throughput each sub-benchmark reports measured
-// ops-per-acquisition — the amortization the adaptive policy must meet
-// or beat (direct is definitionally 1.0).
+// ops-per-acquisition — the amortization the adaptive policy must
+// meet or beat (direct is definitionally 1.0).
 func BenchmarkCombining(b *testing.B) {
-	threads := contendedThreads()
-	for _, name := range []string{"mcs", "c-bo-mcs", "cna"} {
-		for _, variant := range []string{"direct", "comb", "comb-a"} {
-			b.Run(name+"/"+variant, func(b *testing.B) {
-				e := registry.MustLookup(name)
-				topo := numa.New(4, threads)
-				var sum, amort float64
-				for i := 0; i < b.N; i++ {
-					var acq atomic.Uint64
-					inner := locks.CountAcquisitions(e.NewMutex(topo), &acq)
-					var x locks.Executor
-					switch variant {
-					case "comb":
-						x = locks.NewCombining(topo, inner)
-					case "comb-a":
-						x = locks.NewCombiningAdaptive(topo, inner)
-					default:
-						x = locks.ExecFromMutex(inner)
+	shapes := []struct {
+		name              string
+		clusters, threads int
+	}{
+		{"contended", 4, contendedThreads()},
+		{"lone", 2, 2},
+	}
+	for _, shape := range shapes {
+		for _, name := range []string{"mcs", "c-bo-mcs", "cna"} {
+			for _, variant := range []string{"direct", "comb", "comb-a"} {
+				b.Run(shape.name+"/"+name+"/"+variant, func(b *testing.B) {
+					e := registry.MustLookup(name)
+					topo := numa.New(shape.clusters, shape.threads)
+					var sum, amort float64
+					for i := 0; i < b.N; i++ {
+						var acq atomic.Uint64
+						inner := locks.CountAcquisitions(e.NewMutex(topo), &acq)
+						var x locks.Executor
+						switch variant {
+						case "comb":
+							x = locks.NewCombining(topo, inner)
+						case "comb-a":
+							x = locks.NewCombiningAdaptive(topo, inner)
+						default:
+							x = locks.ExecFromMutex(inner)
+						}
+						rate := execTrialOpsPerSec(topo, x, shape.threads)
+						sum += rate
+						if n := acq.Load(); n > 0 {
+							amort += rate * trialWindow.Seconds() / float64(n)
+						}
 					}
-					rate := execTrialOpsPerSec(topo, x, threads)
-					sum += rate
-					if n := acq.Load(); n > 0 {
-						amort += rate * trialWindow.Seconds() / float64(n)
-					}
-				}
-				b.ReportMetric(sum/float64(b.N), "ops/s")
-				b.ReportMetric(amort/float64(b.N), "ops/acq")
-			})
+					b.ReportMetric(sum/float64(b.N), "ops/s")
+					b.ReportMetric(amort/float64(b.N), "ops/acq")
+				})
+			}
 		}
 	}
 }

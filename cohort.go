@@ -302,8 +302,9 @@ func ExecFromLock(m Lock) Executor { return locks.ExecFromMutex(m) }
 // AdaptiveCombiningLock is CombiningLock with the election patience
 // window and harvest pass count driven by a per-cluster occupancy
 // estimate (posted requests in flight) instead of fixed constants:
-// idle collapses to an eager one-pass bypass, contention grows both
-// knobs for longer locality-preserving batches. The estimate is
+// a proc posting alone in its cluster, and repeating, runs straight
+// under the underlying lock; contention grows both knobs for longer
+// locality-preserving batches. The estimate is
 // exposed through Occupancy / OccupancyEstimate.
 type AdaptiveCombiningLock = locks.CombiningAdaptive
 

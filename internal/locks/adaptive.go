@@ -10,13 +10,20 @@ import (
 // occSlot is one cluster's posted-request count, padded so clusters
 // never share a line. It is the GCR-style occupancy signal: how many
 // procs of this cluster currently have a request in flight through the
-// executor. Incremented before a slot is posted and decremented after
-// the closure completes, so it over-approximates the posted-slot count
-// by at most the requests in their brief post/return windows — exactly
-// the cheap, slightly-stale estimate an admission policy wants.
+// executor, whether posted or running on the lone-poster bypass.
+// Incremented before a request is posted or bypassed and decremented
+// after the closure completes, so it over-approximates the in-flight
+// count by at most the requests in their brief post/return windows —
+// exactly the cheap, slightly-stale estimate an admission policy wants.
+// A bypasser blocked inside its closure stays counted.
+//
+// last is the id+1 of the cluster's most recent poster (0: none yet),
+// the streak half of CombiningAdaptive's bypass condition. Only
+// same-cluster procs write either word.
 type occSlot struct {
-	n atomic.Int32
-	_ numa.Pad
+	n    atomic.Int32
+	last atomic.Int32
+	_    numa.Pad
 }
 
 // OccupancyEstimator is the optional introspection interface adaptive
@@ -67,9 +74,22 @@ const (
 //     before trying to elect itself, so the more peers have requests in
 //     flight, the longer it waits to ride their combiner's harvest.
 //   - Passes: the combiner makes 1 + log2(occupancy) sweeps (capped),
-//     so a lone request runs lock-run-unlock with no harvest pause at
-//     all — the eager-bypass fast path — while a saturated cluster gets
-//     long, locality-preserving batches.
+//     so a lone combiner makes one sweep with no harvest pause, while
+//     a saturated cluster gets long, locality-preserving batches.
+//
+// A lone poster skips the protocol altogether: when its increment
+// moves the cluster's occupancy from 0 to 1 and it was also the
+// cluster's previous poster, it runs lock-run-unlock on the underlying
+// lock — no slot, no gate, no active count, no park, no yield — and
+// counts one op over one batch, so an idle executor costs what the
+// lock costs. Occupancy alone is not a safe condition: with posters
+// oversubscribing the processors, a poster looks alone whenever its
+// peers are descheduled, and bypassing then starves the batches that
+// form behind a combiner yielding with its gate held. The streak
+// condition separates the two cases: a proc repeating alone keeps the
+// cluster's last-poster word, while interleaved peers keep
+// overwriting it, so every proc's first op and any op after a
+// same-cluster peer posted take the publication path.
 //
 // The estimate is maintained with one padded per-cluster counter
 // touched only by same-cluster procs, so reading it costs a local
@@ -145,11 +165,22 @@ func passesFor(occ int32, max int) int {
 	return p
 }
 
-// Exec publishes fn and waits until a combiner (possibly this proc)
-// has run it.
+// Exec runs fn under the executor's exclusion: directly on the
+// lone-poster bypass, otherwise by publishing it and waiting until a
+// combiner (possibly this proc) has run it.
 func (c *CombiningAdaptive) Exec(p *numa.Proc, fn func()) {
 	oc := &c.occ[p.Cluster()]
-	oc.n.Add(1)
+	me := int32(p.ID()) + 1
+	if oc.n.Add(1) == 1 && oc.last.Load() == me {
+		c.m.Lock(p)
+		fn()
+		c.m.Unlock(p)
+		c.batches.Add(1)
+		c.ops.Add(1)
+		oc.n.Add(-1)
+		return
+	}
+	oc.last.Store(me)
 	slot := &c.slots[p.ID()]
 	slot.fn = fn
 	slot.state.Store(combPosted)
@@ -233,7 +264,10 @@ func (c *CombiningAdaptive) combine(p *numa.Proc) {
 	c.ops.Add(ran)
 	c.active.Add(-1)
 	// Hand the processor around at batch boundaries when oversubscribed,
-	// as Combining.combine does.
+	// as Combining.combine does. The caller still holds the cluster
+	// gate, so same-cluster peers scheduled meanwhile cannot elect:
+	// they publish and pile up behind the gate for the next combiner's
+	// sweep. Under oversubscription this yield is what forms batches.
 	spin.Yield()
 }
 

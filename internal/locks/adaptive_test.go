@@ -27,10 +27,11 @@ func TestAdaptiveOverCohort(t *testing.T) {
 }
 
 func TestAdaptiveSingleProcEagerPath(t *testing.T) {
-	// The idle end of the load curve: a lone poster must elect eagerly
-	// and pay exactly one acquisition per closure with a single harvest
-	// pass — no patience spin, no inter-pass pause. One acquisition per
-	// op is observable as Batches() == Ops().
+	// The idle end of the load curve: a lone poster must pay exactly
+	// one acquisition per closure — its first op elects eagerly and
+	// makes a single harvest pass, the rest take the lone-poster
+	// bypass. One acquisition per op is observable as Batches() ==
+	// Ops(); TestAdaptiveLonePosterBypass tells the two paths apart.
 	topo := numa.New(2, 4)
 	x := locks.NewCombiningAdaptive(topo, locks.NewMCS(topo))
 	p := topo.Proc(0)
